@@ -2,7 +2,7 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload paper-grid-serial --seed 0 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload paper-grid-serial --seed 0 --seconds 25 --trace 0
 
 Workloads: ``paper-grid-serial``, ``regimes-pool``, ``serve-fleet``
 (see ``harness.py``).  ``--trace 0`` reports the end-to-end metrics;
@@ -62,6 +62,7 @@ PER_LAYER = {
     "revpred.queries": "count",
     "revpred.infer_s": "s",
     "workloads.metrics_s": "s",
+    "workloads.make_trials_s": "s",
     "core.baselines.self_s": "s",
     "analysis.context.builds": "count",
     "analysis.context.build_s": "s",
@@ -97,6 +98,12 @@ PER_LAYER = {
     "trace.overhead_frac": "ratio",
     "trace.coverage_frac": "ratio",
 }
+
+
+#: Spans that enclose a whole cell.  They are traced so that their
+#: children nest, but their self time is whatever the named layers
+#: leave unexplained, so ``trace.coverage_frac`` leaves them out.
+CATCH_ALL_LAYERS = ("sweep.runner", "analysis.context.cell")
 
 
 def source_digest() -> str:
@@ -156,27 +163,17 @@ def end_to_end(m) -> dict:
     import numpy as np
 
     cells = len(m.cells)
-    if m.cell_hist is not None:
-        bounds, counts = m.cell_hist
-        count = int(sum(counts))
-        source = "worker cell-seconds histogram from /metrics"
+    count = len(m.cell_s)
 
-        def quantile(q):
-            return harness.histogram_quantile(bounds, counts, q)
-
-    else:
-        count = len(m.cell_s)
-        source = "per-cell seconds"
-
-        def quantile(q):
-            return float(np.percentile(m.cell_s, q))
+    def quantile(q):
+        return float(np.percentile(m.cell_s, q))
 
     q = harness.tail_percentile(count)
     return {
         "setup_s": (harness.median(m.setup_s), len(m.setup_s), "median of set-ups"),
         "cells_per_s": (cells / m.wall_s, cells, f"cells in {m.wall_s:.2f} s"),
-        "cell_p50_s": (quantile(50.0), count, source),
-        "cell_tail_s": (quantile(q), count, f"p{q:g} ({source})"),
+        "cell_p50_s": (quantile(50.0), count, m.cell_source),
+        "cell_tail_s": (quantile(q), count, f"p{q:g}, {m.cell_source}"),
         "submit_to_result_p50_s": (
             harness.median(m.submits),
             len(m.submits),
@@ -191,16 +188,19 @@ def end_to_end(m) -> dict:
     }
 
 
-def per_layer(untraced, traced, tracer, replay, prepared) -> dict:
+def per_layer(untraced, traced, baseline, tracer, prepared, fleet) -> dict:
     """``name -> value`` for every per-layer metric (0 where the
-    workload never enters the layer)."""
+    workload never enters the layer).  ``fleet`` is the measurement
+    whose ``/metrics`` scrape gives the fleet and serve layers, or
+    ``None``."""
     totals = tracer.totals()
     calls, self_s, total_s = totals["calls"], totals["self_s"], totals["total_s"]
     tallies = totals["tallies"]
     timed = tracer.delta(traced.trace_after, traced.trace_before)
     # Cells the benchmark process executed itself; the fleet's run in
     # worker processes, outside the tracer's reach.
-    cell_wall = sum(traced.cell_s)
+    in_process = untraced is not fleet
+    cell_wall = sum(traced.cell_s) if in_process else 0.0
     out = dict.fromkeys(PER_LAYER, 0.0)
     out.update(
         {
@@ -213,6 +213,7 @@ def per_layer(untraced, traced, tracer, replay, prepared) -> dict:
             "revpred.queries": tallies.get("revpred.queries", 0),
             "revpred.infer_s": total_s.get("revpred", 0.0),
             "workloads.metrics_s": total_s.get("workloads", 0.0),
+            "workloads.make_trials_s": total_s.get("workloads.make_trials", 0.0),
             "core.baselines.self_s": self_s.get("core.baselines", 0.0),
             "analysis.context.builds": calls.get("analysis.context.build", 0),
             "analysis.context.build_s": total_s.get("analysis.context.build", 0.0),
@@ -233,30 +234,30 @@ def per_layer(untraced, traced, tracer, replay, prepared) -> dict:
             "io.fsyncs_per_cell": timed["calls"].get("io.fsync", 0) / max(len(traced.cells), 1),
         }
     )
-    if replay is not None:
-        # regimes-pool: the traced run is an in-process replay, so its
-        # overhead is measured against the same replay untraced.
-        base_rate = len(replay.cells) / replay.wall_s
-    else:
-        base_rate = len(untraced.cells) / untraced.wall_s
-    out["trace.overhead_frac"] = 1.0 - (len(traced.cells) / traced.wall_s) / base_rate
+    out["trace.overhead_frac"] = 1.0 - (len(traced.cells) / traced.wall_s) / (
+        len(baseline.cells) / baseline.wall_s
+    )
     if cell_wall > 0:
-        out["trace.coverage_frac"] = sum(timed["self_s"].values()) / cell_wall
-    workers = untraced.extra["workers"]
-    if untraced.worker_cell_s:
+        named = {k: v for k, v in timed["self_s"].items() if k not in CATCH_ALL_LAYERS}
+        out["trace.coverage_frac"] = sum(named.values()) / cell_wall
+    if in_process:
         cells = len(untraced.worker_cell_s)
         out["sweep.runner.overhead_ms_per_cell"] = (
-            1000.0 * (untraced.wall_s * workers - sum(untraced.worker_cell_s)) / cells
+            1000.0
+            * (untraced.wall_s * untraced.extra["workers"] - sum(untraced.worker_cell_s))
+            / cells
         )
         out["sweep.runner.cell_p50_s"] = harness.median(untraced.worker_cell_s)
-    scrape = untraced.extra.get("scrape")
-    if scrape is not None:
-        executed = scrape.total("repro_worker_cell_seconds_count")
-        job_wall = sum(untraced.submits)
+    else:
+        scrape = fleet.extra["scrape"]
+        out["sweep.cache.stores"] = scrape.total("repro_cache_store_seconds_count")
+        out["sweep.cache.store_s"] = scrape.total("repro_cache_store_seconds_sum")
+    if fleet is not None:
+        scrape = fleet.extra["scrape"]
+        executed = len(fleet.worker_cell_s)
+        job_wall = sum(fleet.submits)
         out.update(
             {
-                "sweep.cache.stores": scrape.total("repro_cache_store_seconds_count"),
-                "sweep.cache.store_s": scrape.total("repro_cache_store_seconds_sum"),
                 "sweep.distrib.queue.claims": scrape.total("repro_queue_claims_total"),
                 "sweep.distrib.queue.claim_races": scrape.total("repro_queue_claim_races_total"),
                 "sweep.distrib.lease.renewals": scrape.total("repro_lease_renewals_total"),
@@ -265,10 +266,10 @@ def per_layer(untraced, traced, tracer, replay, prepared) -> dict:
                     "repro_coordinator_tail_latency_seconds"
                 ),
                 "sweep.distrib.overhead_ms_per_cell": 1000.0
-                * (job_wall * workers - scrape.total("repro_worker_cell_seconds_sum"))
+                * (job_wall * fleet.extra["workers"] - sum(fleet.worker_cell_s))
                 / max(executed, 1),
                 "sweep.distrib.worker_cpu_ms_per_cell": 1000.0
-                * untraced.child_cpu_s
+                * fleet.child_cpu_s
                 / max(executed, 1),
                 "serve.request_s.submit": scrape.mean(
                     "repro_http_request_seconds", route="/v1/sweeps"
@@ -280,11 +281,11 @@ def per_layer(untraced, traced, tracer, replay, prepared) -> dict:
                     "repro_http_request_seconds", route="/v1/sweeps/{id}/result"
                 ),
                 "serve.first_event_s": harness.median(
-                    [t["first_event_s"] for t in untraced.extra["trips"]]
+                    [t["first_event_s"] for t in fleet.extra["trips"]]
                 ),
                 "serve.server_cpu_ms_per_cell": 1000.0
-                * untraced.own_cpu_s
-                / max(len(untraced.cells), 1),
+                * fleet.own_cpu_s
+                / max(len(fleet.cells), 1),
             }
         )
     return out
@@ -294,7 +295,10 @@ def run(args) -> int:
     sys.path.insert(0, str(SRC))
     bank_root = STATE / f"banks-{source_digest()}"
     prepared_path = bank_root / "prepared.json"
-    if not prepared_path.is_file():
+    if (
+        not prepared_path.is_file()
+        or json.loads(prepared_path.read_text())["seeds"] != list(harness.BANK_SEEDS)
+    ):
         prepare_banks(bank_root, harness.BANK_SEEDS)
         # Measure in a fresh process: the training processes' CPU and
         # peak RSS must not count against the run.
@@ -314,28 +318,39 @@ def run(args) -> int:
         untraced = workload.measure(ctx)
         problems = workload.check(ctx, untraced)
         layers = None
+        fleet = untraced if isinstance(workload, harness.ServeFleet) else None
         if args.trace:
             from spans import Tracer, install_program_layers
 
-            replay = None
-            if isinstance(workload, harness.RegimesPool):
-                replay = workload.replay(ctx, cache_root=untraced.extra["cache_root"])
+            pool = isinstance(workload, harness.RegimesPool)
+            if pool:
+                # The same kind of regime cells through repro serve: the
+                # fleet and serve layers, measured here because the
+                # serve-fleet workload is too unsteady to gate on.
+                serve = harness.ServeFleet(ctx)
+                fleet = serve.measure(ctx)
+                problems += [f"fleet pass: {p}" for p in serve.check(ctx, fleet)]
+                problems += [f"fleet pass: {p}" for p in _run_problems(fleet)]
             tracer = Tracer()
             install_program_layers(tracer)
+            rerun = workload.replay if pool else workload.measure
             try:
-                if replay is not None:
-                    traced = workload.replay(ctx, tracer=tracer)
-                else:
-                    traced = workload.measure(ctx, tracer=tracer)
+                traced = rerun(ctx, tracer=tracer)
             finally:
                 tracer.uninstall()
+            # The untraced baseline of trace.overhead_frac runs after the
+            # traced pass: the same cells ran ~20% faster by the third
+            # pass in one process, so a baseline taken first would hide
+            # the tracing overhead.
+            baseline = rerun(ctx)
             traces = STATE / "traces"
             traces.mkdir(parents=True, exist_ok=True)
             span_path = traces / f"{args.workload}.npy"
             spans = tracer.write(span_path)
             print(f"  spans: {spans} written to {span_path.relative_to(ROOT)}")
-            layers = per_layer(untraced, traced, tracer, replay, prepared)
+            layers = per_layer(untraced, traced, baseline, tracer, prepared, fleet)
             problems += [f"traced run: {p}" for p in _run_problems(traced)]
+            problems += [f"baseline run: {p}" for p in _run_problems(baseline)]
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
 
@@ -347,8 +362,16 @@ def run(args) -> int:
     print("  end-to-end (untraced):")
     for name, (value, count, note) in metrics.items():
         print(f"    {name:26s} {_fmt(value):>12s} {END_TO_END[name]:4s} n={count:<6d} {note}")
-    if untraced.jobs:
-        print(f"    jobs: {untraced.jobs} attempted, {untraced.failed_jobs} failed")
+    if fleet is not None:
+        title = "" if fleet is untraced else "fleet pass (for the per-layer metrics): "
+        print(f"    {title}jobs: {fleet.jobs} attempted, {fleet.failed_jobs} failed")
+        for line in fleet_notes(fleet):
+            print(f"    {line}")
+    print(
+        "    host: fixed loop "
+        + " / ".join(f"{ms:.1f}" for ms in untraced.host_loop_ms)
+        + " ms before / after the timed phase"
+    )
     if layers is not None:
         print("  per-layer (traced run):")
         for name, value in layers.items():
@@ -375,6 +398,22 @@ def run(args) -> int:
     return 0 if not problems else 1
 
 
+def fleet_notes(m) -> list:
+    """Per-job timeline, and how many executed cells the ``/metrics``
+    worker histogram saw against the done records."""
+    lines = [
+        f"job {k}: first event {t['first_event_s']:.2f} s, last {t['last_event_s']:.2f} s, "
+        f"final line {t['final_s']:.2f} s, result read {t['seconds']:.2f} s"
+        for k, t in enumerate(m.extra["trips"], 1)
+    ]
+    counted = int(m.extra["scrape"].total("repro_worker_cell_seconds_count"))
+    lines.append(
+        f"executed cells: {len(m.worker_cell_s)} in done records, "
+        f"{counted} in the /metrics worker histogram"
+    )
+    return lines
+
+
 def _run_problems(m) -> list:
     problems = []
     if m.failed:
@@ -394,7 +433,7 @@ def main(argv=None) -> int:
         choices=sorted(harness.WORKLOADS),
     )
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)

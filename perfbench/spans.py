@@ -215,6 +215,7 @@ def install_program_layers(tracer: Tracer) -> None:
     from repro.revpred.predictor import CachingPredictor, OraclePredictor
     from repro.sweep.banks import BankCache
     from repro.sweep.cache import SweepCache
+    import repro.workloads.trial as trial_mod
     from repro.workloads.trial import Trial
 
     tracer.wrap_function(runner_mod, "run_scenario", "sweep.runner")
@@ -229,6 +230,7 @@ def install_program_layers(tracer: Tracer) -> None:
     tracer.wrap_method(CachingPredictor, "probability_many", "revpred", tally_queries)
     tracer.wrap_method(OraclePredictor, "probability", "revpred", tally_query)
     tracer.wrap_method(Trial, "metrics_at", "workloads")
+    tracer.wrap_function(trial_mod, "make_trials", "workloads.make_trials")
     tracer.wrap_function(baselines_mod, "run_single_spot", "core.baselines")
     tracer.wrap_function(dataset_mod, "generate_default_dataset", "market.generate")
     tracer.wrap_function(snapshot_mod, "save_market_snapshot", "market.snapshot_save")
