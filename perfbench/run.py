@@ -253,6 +253,11 @@ def per_layer(untraced, traced, baseline, tracer, prepared, fleet) -> dict:
         out["sweep.cache.stores"] = scrape.total("repro_cache_store_seconds_count")
         out["sweep.cache.store_s"] = scrape.total("repro_cache_store_seconds_sum")
     if fleet is not None:
+        loads = fleet.extra.get("loads")
+        if loads is not None:
+            out["sweep.cache.hits"] = loads["tallies"].get("sweep.cache.hits", 0)
+            out["sweep.cache.misses"] = loads["tallies"].get("sweep.cache.misses", 0)
+            out["sweep.cache.load_s"] = loads["total_s"].get("sweep.cache.load", 0.0)
         scrape = fleet.extra["scrape"]
         executed = len(fleet.worker_cell_s)
         job_wall = sum(fleet.submits)
@@ -320,15 +325,25 @@ def run(args) -> int:
         layers = None
         fleet = untraced if isinstance(workload, harness.ServeFleet) else None
         if args.trace:
-            from spans import Tracer, install_program_layers
+            from spans import Tracer, install_program_layers, tally_hits
 
             pool = isinstance(workload, harness.RegimesPool)
             if pool:
                 # The same kind of regime cells through repro serve: the
                 # fleet and serve layers, measured here because the
                 # serve-fleet workload is too unsteady to gate on.
+                # Only the cache loads of its coordinator are traced:
+                # the other layers' totals must stay the replay's.
+                from repro.sweep.cache import SweepCache
+
                 serve = harness.ServeFleet(ctx)
-                fleet = serve.measure(ctx)
+                loads = Tracer()
+                loads.wrap_method(SweepCache, "load", "sweep.cache.load", tally_hits)
+                try:
+                    fleet = serve.measure(ctx)
+                finally:
+                    loads.uninstall()
+                fleet.extra["loads"] = loads.totals()
                 problems += [f"fleet pass: {p}" for p in serve.check(ctx, fleet)]
                 problems += [f"fleet pass: {p}" for p in _run_problems(fleet)]
             tracer = Tracer()
@@ -339,9 +354,9 @@ def run(args) -> int:
             finally:
                 tracer.uninstall()
             # The untraced baseline of trace.overhead_frac runs after the
-            # traced pass: the same cells ran ~20% faster by the third
-            # pass in one process, so a baseline taken first would hide
-            # the tracing overhead.
+            # traced pass: four replays of the same cells in one process
+            # took 5.9, 5.6, 4.9 (traced) and 4.6 s in turn, so a
+            # baseline taken first would hide the tracing overhead.
             baseline = rerun(ctx)
             traces = STATE / "traces"
             traces.mkdir(parents=True, exist_ok=True)
