@@ -18,8 +18,9 @@
   by half.  Queue claims, leases, fsyncs, the coordinator's tail and
   resume reconcile, the event log and worker start-up do the work.
   ``BENCHMARK.json`` does not gate on it: its server polls the event
-  log at a fixed rate and reads every event file per poll, so a job the
-  host slows costs more server CPU, on cores the workers share.  In
+  log without pausing while events keep coming and reads every event
+  file per poll, so a job the host slows costs more server CPU, on
+  cores the workers share.  In
   phases of 19-27% CPU steal on a 2-vCPU VM its throughput fell from
   ~120 to ~65 cells/s, and ten runs spread 0.44-0.57.
   ``regimes-pool --trace 1`` runs it once for the fleet and serve
