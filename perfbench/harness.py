@@ -71,8 +71,8 @@ SETUP_REPEATS = 3
 #: reported percentile constant while the sample count only drifts.
 #: It stops at p75, which the grid's 48 cells reach with 12 beyond.
 #: Over the pool's and the fleet's ~4 ms cells, higher percentiles
-#: count the cells a busy core preempted: p90 spread 0.26 between runs
-#: against 0.16 for the throughput of the same runs.
+#: count the cells a busy core preempted: on a 2-vCPU VM, fleet p90
+#: spread 0.26 between runs against 0.16 for their throughput.
 TAIL_LADDER = (75.0, 50.0)
 
 #: Cells replayed in-process per run for the byte-identity check.
@@ -108,11 +108,11 @@ def rotating_cpu():
     """Yield ``rotate()``, which moves the calling thread to the next of
     the CPUs it may run on; the original affinity is back on exit.
 
-    A serial sweep sits on one vCPU, and the two vCPUs of the VM this
-    was tuned on ran a fixed loop 19-21 ms and 16 ms at the same moment,
-    so which one the scheduler picked set a run's speed.  Rotating cell
-    by cell gives every run the same share of each.  Where affinity
-    cannot be set, ``rotate()`` does nothing."""
+    A serial sweep sits on one vCPU, and on a 2-vCPU x86 VM the two
+    vCPUs ran a fixed loop in 19-21 ms and 16 ms at the same moment, so
+    which one the scheduler picked set a run's speed.  Rotating cell by
+    cell gives every run the same share of each.  Where affinity cannot
+    be set, ``rotate()`` does nothing."""
     try:
         allowed = sorted(os.sched_getaffinity(0))
     except (AttributeError, OSError):
