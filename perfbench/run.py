@@ -27,6 +27,7 @@ import hashlib
 import json
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import time
@@ -34,7 +35,8 @@ from pathlib import Path
 
 import harness
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 SRC = ROOT / "src"
 STATE = ROOT / ".perfbench"
 
@@ -116,36 +118,50 @@ def source_digest() -> str:
     return digest.hexdigest()[:16]
 
 
-def _train_bank(payload):
-    """Spawned worker: train one seed's revpred bank the program's way."""
-    src, bank_root, seed = payload
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.analysis.context import build_context
-    from repro.sweep.banks import BankCache
-
-    started = time.monotonic()
-    context = build_context(seed, bank_cache=BankCache(bank_root))
-    context.revpred_bank
-    return seed, time.monotonic() - started, context.bank_trainings
+def reap(children) -> None:
+    """Stop every child still running and wait until each has ended."""
+    for child in children:
+        if child.poll() is None:
+            child.terminate()
+    for child in children:
+        try:
+            child.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            child.kill()
+            child.wait()
 
 
 def prepare_banks(bank_root: Path, seeds) -> dict:
-    """Train the banks of ``seeds`` two at a time; record the wall time."""
-    import multiprocessing
-
+    """Train the banks of ``seeds``, one ``train_bank.py`` process per
+    seed, all at once; record the wall time.  Plain subprocesses, not a
+    ``multiprocessing`` pool: a spawn pool starts a resource tracker
+    that outlives the benchmark for a moment after it exits."""
     bank_root.mkdir(parents=True, exist_ok=True)
     print(f"perfbench: preparing revpred banks for market seeds {list(seeds)}", flush=True)
     started = time.monotonic()
-    with multiprocessing.get_context("spawn").Pool(processes=2) as pool:
-        results = pool.map(
-            _train_bank, [(str(SRC), str(bank_root), seed) for seed in seeds], chunksize=1
-        )
+    children = []
+    try:
+        for seed in seeds:
+            children.append(
+                subprocess.Popen(
+                    [sys.executable, str(HERE / "train_bank.py"), str(bank_root), str(seed)],
+                    stdout=subprocess.PIPE,
+                    text=True,
+                )
+            )
+        results = []
+        for seed, child in zip(seeds, children):
+            out, _ = child.communicate()
+            if child.returncode != 0:
+                raise RuntimeError(f"bank training for market seed {seed} exited {child.returncode}")
+            results.append(json.loads(out.strip().splitlines()[-1]))
+    finally:
+        reap(children)
     record = {
         "seeds": list(seeds),
         "prepare_s": time.monotonic() - started,
-        "per_seed_s": {str(seed): seconds for seed, seconds, _ in results},
-        "trainings": sum(trained for _, _, trained in results),
+        "per_seed_s": {str(r["seed"]): r["seconds"] for r in results},
+        "trainings": sum(r["trainings"] for r in results),
     }
     tmp = bank_root / "prepared.json.tmp"
     tmp.write_text(json.dumps(record, indent=1))
@@ -307,7 +323,11 @@ def run(args) -> int:
         prepare_banks(bank_root, harness.BANK_SEEDS)
         # Measure in a fresh process: the training processes' CPU and
         # peak RSS must not count against the run.
-        return subprocess.run([sys.executable, str(Path(__file__).resolve()), *args.argv]).returncode
+        child = subprocess.Popen([sys.executable, str(HERE / "run.py"), *args.argv])
+        try:
+            return child.wait()
+        finally:
+            reap([child])
     prepared = json.loads(prepared_path.read_text())
 
     from repro.sweep import banks as banks_mod
@@ -440,6 +460,10 @@ def _run_problems(m) -> list:
     return problems
 
 
+def _stop(signum, _frame):
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -460,6 +484,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
+    # A SIGTERM unwinds through the finally blocks, which stop every
+    # child process and wait for it.  Forked pool workers keep the
+    # default action: their pool stops them with SIGTERM.
+    signal.signal(signal.SIGTERM, _stop)
+    os.register_at_fork(after_in_child=lambda: signal.signal(signal.SIGTERM, signal.SIG_DFL))
     return run(args)
 
 
