@@ -17,7 +17,6 @@ from repro.core.checkpoint_policy import policy_from_spec
 from repro.core.config import SpotTuneConfig
 from repro.core.orchestrator import SpotTuneOrchestrator
 from repro.workloads.catalog import get_workload
-from repro.workloads.trial import make_trials
 
 
 def run_cell(
@@ -42,7 +41,7 @@ def run_cell(
     workload = get_workload(workload_name)
     orchestrator = orchestrator_cls(
         workload,
-        make_trials(workload, seed=context.seed),
+        context.trials(workload_name),
         context.dataset,
         predictor,
         SpotTuneConfig(

@@ -231,6 +231,29 @@ class ExperimentContext:
         return CachingPredictor(self.tributary_bank)
 
     # ------------------------------------------------------------------
+    # Trials
+    # ------------------------------------------------------------------
+    @cached_property
+    def _trials(self) -> dict:
+        return {}
+
+    def trials(self, workload_name: str) -> tuple:
+        """The workload's simulated trials on this context's seed.
+
+        Built once per context: ``make_trials`` is deterministic in
+        (workload, seed), and no run writes to a trial or its curve,
+        so every run of the workload shares them.
+        """
+        if workload_name not in self._trials:
+            from repro.workloads.catalog import get_workload
+            from repro.workloads.trial import make_trials
+
+            self._trials[workload_name] = tuple(
+                make_trials(get_workload(workload_name), seed=self.seed)
+            )
+        return self._trials[workload_name]
+
+    # ------------------------------------------------------------------
     # Shared run cache — several figures consume the same runs
     # (Fig. 7's theta=0.7 rows are Fig. 9's and Fig. 12's inputs), so
     # runs are memoised by (workload, theta, predictor kind).
@@ -255,7 +278,6 @@ class ExperimentContext:
         from repro.core.config import SpotTuneConfig
         from repro.core.orchestrator import SpotTuneOrchestrator
         from repro.workloads.catalog import get_workload
-        from repro.workloads.trial import make_trials
 
         from repro.revpred.predictor import ConstantPredictor, OraclePredictor
 
@@ -285,7 +307,7 @@ class ExperimentContext:
             workload = get_workload(workload_name)
             orchestrator = SpotTuneOrchestrator(
                 workload,
-                make_trials(workload, seed=self.seed),
+                self.trials(workload_name),
                 self.dataset,
                 predictor,
                 SpotTuneConfig(
@@ -306,14 +328,13 @@ class ExperimentContext:
         """Memoised Single-Spot baseline run."""
         from repro.core.baselines import run_single_spot
         from repro.workloads.catalog import get_workload
-        from repro.workloads.trial import make_trials
 
         key = ("baseline", workload_name, instance_name, mcnt)
         if key not in self._run_cache:
             workload = get_workload(workload_name)
             self._run_cache[key] = run_single_spot(
                 workload,
-                make_trials(workload, seed=self.seed),
+                self.trials(workload_name),
                 self.dataset,
                 instance_name,
                 speed_model=self.speed_model,

@@ -442,12 +442,16 @@ class JobRegistry:
         """Events with ``seq >= cursor``, and the next cursor.
 
         The event log is append-only and sequence-named, so a cursor a
-        client took before a server restart stays valid after it.
+        client took before a server restart stays valid after it.  A
+        file named below the cursor is skipped unread, so following a
+        stream costs each poll only the events it returns.
         """
         self.job(job_id)  # 404 before paging
         cursor = max(0, int(cursor))
         events = []
         for path in sorted(self._events_dir(job_id).glob("*.json")):
+            if path.stem.isdigit() and int(path.stem) < cursor:
+                continue
             try:
                 payload = json.loads(path.read_text())
             except (OSError, json.JSONDecodeError):

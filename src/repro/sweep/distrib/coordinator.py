@@ -42,8 +42,9 @@ from repro.sweep.runner import (
     CellResult,
     SweepCellError,
     SweepResult,
+    ensure_market_snapshots,
     resolve_caches,
-    shard_cells,
+    task_order,
 )
 from repro.sweep.scenario import Scenario, ScenarioGrid
 
@@ -416,24 +417,6 @@ class DistributedSweepRunner:
         self.fleet_metrics: Optional[dict] = None
 
     # ------------------------------------------------------------------
-    def _write_market_snapshots(self, scenarios) -> None:
-        """Persist each seed's market dataset once for the whole fleet.
-
-        Mirrors ``SweepRunner.write_market_snapshots``: one snapshot per
-        seed under ``<cache>/markets/``, always the *default* dataset —
-        exactly what a worker would regenerate without one.
-        """
-        from repro.analysis.context import TOTAL_DAYS
-        from repro.market.dataset import generate_default_dataset
-        from repro.market.snapshot import save_market_snapshot
-        from repro.sweep.runner import market_snapshot_dir
-
-        for seed in sorted({int(s.seed) for s in scenarios}):
-            save_market_snapshot(
-                generate_default_dataset(seed=seed, days=TOTAL_DAYS),
-                market_snapshot_dir(self.cache.root, seed),
-            )
-
     def run(
         self,
         grid: Union[ScenarioGrid, Iterable[Scenario]],
@@ -471,12 +454,12 @@ class DistributedSweepRunner:
         # is unknowable here anyway, and a restart with a different
         # --jobs must still produce the manifest it is re-attaching to.
         # It is bucket-*contiguous* (each (seed, scale) group in one
-        # run), not the pool path's round-robin: workers claim
+        # run), the pool path's order with one lane: workers claim
         # smallest-name-first, so contiguity is what lets a worker's
         # context LRU serve consecutive claims instead of rebuilding a
         # different context per cell once the grid has more buckets
         # than LRU slots.
-        ordered = [s for shard in shard_cells(scenarios, 1) for s in shard]
+        ordered = task_order(scenarios, 1)
         banks_path = (
             _relative_to_queue(self.bank_cache.root, self.queue_dir)
             if self.bank_cache is not None
@@ -584,8 +567,9 @@ class DistributedSweepRunner:
         # Market snapshots land before the manifest publishes, so every
         # worker that can see tasks can also see the mmap-able traces
         # (workers fall back to regeneration if a snapshot is absent —
-        # same bytes either way, just slower).
-        self._write_market_snapshots(scenarios)
+        # same bytes either way, just slower).  A seed whose snapshot an
+        # earlier sweep or job already wrote is not generated again.
+        ensure_market_snapshots(self.cache.root, scenarios)
 
         queue.publish_manifest()
         failures: list[tuple[Scenario, str]] = []

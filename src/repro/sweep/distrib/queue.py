@@ -80,8 +80,9 @@ def task_name(seq: int, scenario: Scenario) -> str:
     """Queue-wide task id: zero-padded rank + cell fingerprint.
 
     The rank prefix makes lexicographic directory order the dispatch
-    order, so workers claiming "smallest name first" follow the same
-    round-robin ``task_order`` the in-process pool streams through.
+    order, so workers claiming "smallest name first" follow the order
+    the coordinator enqueued: each ``(seed, scale)`` bucket in one
+    contiguous run of ranks, which is ``task_order`` with one lane.
     """
     return f"{seq:06d}-{scenario.fingerprint()}"
 

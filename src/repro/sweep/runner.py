@@ -14,12 +14,17 @@ to grid order regardless of which worker finished what first.
 The pool path is a streaming executor: persistent workers consume
 individual cells from a task queue (``imap_unordered``, chunksize 1),
 and each completed cell flows back to the parent — and to ``on_cell``
-— the moment it finishes, not when a shard drains.  Workers build
-their experiment contexts lazily and keep a bounded LRU of live ones
-per ``(seed, scale)``, so cells from different seed groups can
-interleave through one worker without unbounded memory growth; context
-construction is deterministic in the seed, so a pool run reproduces
-the serial results exactly.
+— the moment it finishes, not when a shard drains.  The queue is cut
+into one lane per worker (:func:`task_order`): each lane walks its
+``(seed, scale)`` contexts one after another, and the lanes interleave
+task by task, so the cells in flight at any moment span about one
+context per worker.  Workers build their experiment contexts lazily
+and keep a bounded LRU of live ones per ``(seed, scale)``.  While the
+pool has fewer workers than LRU slots, that LRU holds every context a
+worker still needs, so a worker builds each context once per sweep
+however many seeds the sweep spans.  Context construction is
+deterministic in the seed, so a pool run reproduces the serial results
+exactly.
 
 Persistence is incremental: summaries hit the on-disk cache cell by
 cell as they complete (workers write their own cells on the pool
@@ -28,11 +33,12 @@ ever lost to a crash or interrupt.  Trained predictor banks persist
 the same way through the co-located :class:`~repro.sweep.banks
 .BankCache`: the first worker to need a bank trains and stores it,
 every other consumer — concurrent or in a later run — loads it.
+Market snapshots persist in the cache too: each seed's is generated
+once per cache and every later sweep or job reuses it.
 """
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import time
 from dataclasses import dataclass, fields
@@ -85,6 +91,29 @@ def _snapshot_path_for(cache_root, seed: int):
     if snapshot is not None and (snapshot / "meta.json").is_file():
         return str(snapshot)
     return None
+
+
+def ensure_market_snapshots(cache_root, scenarios) -> None:
+    """Give every seed of ``scenarios`` a readable market snapshot.
+
+    One snapshot per seed under ``<cache_root>/markets/``, always of
+    the *default* dataset: pool and fleet workers build their own
+    default contexts (a caller-supplied context is in-process only),
+    so the snapshot must mirror exactly what a worker would generate.
+    A snapshot that loads is reused as it is; only a missing or
+    unreadable one is generated and saved, which also repairs a
+    broken one in place.
+    """
+    from repro.analysis.context import TOTAL_DAYS
+    from repro.market.dataset import generate_default_dataset
+    from repro.market.snapshot import load_market_snapshot, save_market_snapshot
+
+    for seed in sorted({int(s.seed) for s in scenarios}):
+        directory = market_snapshot_dir(cache_root, seed)
+        if load_market_snapshot(directory) is None:
+            save_market_snapshot(
+                generate_default_dataset(seed=seed, days=TOTAL_DAYS), directory
+            )
 
 
 def _context_for(
@@ -265,43 +294,44 @@ def _pool_run_cell(
     )
 
 
-def shard_cells(pending: list[Scenario], jobs: int) -> list[list[Scenario]]:
-    """Partition cells into ``(seed, scale)`` groups for the queue.
+def shard_cells(pending: list[Scenario]) -> list[list[Scenario]]:
+    """Group cells by ``(seed, scale)``, groups in first-seen order.
 
-    Building an experiment context (regenerating every market's price
-    history) dominates small cells, so cells sharing a context stick
-    together; buckets larger than an even ``jobs``-way split are
-    subdivided so the round-robin of :func:`task_order` spreads even a
-    single-seed grid across all workers.
+    Building an experiment context (loading every market's price
+    history, making each workload's trials) dominates small cells, so
+    dispatch keeps the cells that share a context together.
     """
     buckets: dict[tuple[int, str], list[Scenario]] = {}
     for scenario in pending:
         buckets.setdefault((scenario.seed, scenario.scale), []).append(scenario)
-    target = max(1, math.ceil(len(pending) / max(1, jobs)))
-    shards = []
-    for bucket in buckets.values():
-        for start in range(0, len(bucket), target):
-            shards.append(bucket[start : start + target])
-    return shards
+    return list(buckets.values())
 
 
 def task_order(pending: list[Scenario], jobs: int) -> list[Scenario]:
-    """Queue order for streaming dispatch — pool and distributed alike.
+    """Queue order for streaming dispatch: the pool's, and with
+    ``jobs=1`` the distributed coordinator's.
 
-    Round-robins across the :func:`shard_cells` groups so the first
-    ``jobs`` tasks handed out belong to distinct shards — distinct
-    contexts get built (and distinct banks trained) concurrently at
-    sweep start — while cells of one shard keep their relative order,
-    landing on workers whose LRU still holds their context.
+    The :func:`shard_cells` order, with each context's cells in one
+    run, is cut into ``w = min(jobs, len(pending))`` contiguous lanes
+    whose sizes differ by at most one, longer lanes first.  The lanes
+    interleave rank by rank, so ``order[k::w]`` is lane ``k``:
+
+    * the first ``w`` tasks open each lane's first context, distinct
+      unless one context fills a whole lane, so distinct contexts get
+      built (and distinct banks trained) concurrently at sweep start;
+    * each lane walks its contexts once, so the cells in flight at any
+      moment span about ``w`` contexts, and a worker's context LRU
+      serves them instead of rebuilding one per cell.
     """
-    shards = shard_cells(pending, jobs)
-    ordered: list[Scenario] = []
-    rank = 0
-    while len(ordered) < len(pending):
-        for shard in shards:
-            if rank < len(shard):
-                ordered.append(shard[rank])
-        rank += 1
+    grouped = [scenario for shard in shard_cells(pending) for scenario in shard]
+    lanes = max(1, min(jobs, len(grouped)))
+    size, longer = divmod(len(grouped), lanes)
+    ordered: list = [None] * len(grouped)
+    start = 0
+    for lane in range(lanes):
+        stop = start + size + (lane < longer)
+        ordered[lane::lanes] = grouped[start:stop]
+        start = stop
     return ordered
 
 
@@ -574,35 +604,18 @@ class SweepRunner:
         return SweepResult(done[s.fingerprint()] for s in scenarios)
 
     # ------------------------------------------------------------------
-    def _shards(self, pending: list[Scenario]) -> list[list[Scenario]]:
-        return shard_cells(pending, self.jobs)
-
     def _task_order(self, pending: list[Scenario]) -> list[Scenario]:
         return task_order(pending, self.jobs)
 
     def write_market_snapshots(self, pending) -> None:
-        """Persist each pending seed's market dataset for the workers.
+        """Make sure each pending seed has a market snapshot for the
+        workers to memory-map (see :func:`ensure_market_snapshots`).
 
-        One snapshot per seed under ``<cache>/markets/``; workers
-        memory-map it (one page-cache copy per host) instead of every
-        worker regenerating every market.  Needs a cache; without one
-        the pool falls back to per-worker generation as before.
+        Needs a cache; without one every worker generates its own
+        markets.
         """
-        if self.cache is None or not pending:
-            return
-        from repro.analysis.context import TOTAL_DAYS
-        from repro.market.dataset import generate_default_dataset
-        from repro.market.snapshot import save_market_snapshot
-
-        for seed in sorted({int(s.seed) for s in pending}):
-            # Always the *default* dataset: pool workers have always
-            # built their own default contexts (a caller-supplied
-            # context is in-process only), and the snapshot must mirror
-            # exactly what a worker would have generated.
-            save_market_snapshot(
-                generate_default_dataset(seed=seed, days=TOTAL_DAYS),
-                market_snapshot_dir(self.cache.root, seed),
-            )
+        if self.cache is not None:
+            ensure_market_snapshots(self.cache.root, pending)
 
     def _run_pool(self, pending, emit, failures) -> None:
         # Prefer fork where available: workers inherit any context the

@@ -108,6 +108,29 @@ class TestContext:
         second = context.baseline_run("LiR", "r4.large")
         assert first is second
 
+    def test_trials_are_made_once_per_workload(self, monkeypatch):
+        import repro.workloads.trial as trial_mod
+
+        made = []
+        real = trial_mod.make_trials
+
+        def counted(workload, seed=0):
+            made.append((workload.name, seed))
+            return real(workload, seed=seed)
+
+        monkeypatch.setattr(trial_mod, "make_trials", counted)
+        fresh = build_context(seed=3)
+        fresh.baseline_run("LiR", "r4.large")
+        fresh.baseline_run("LiR", "m4.4xlarge")
+        fresh.spottune_run("LiR", 0.7, "oracle")
+        assert made == [("LiR", 3)]
+        # After three runs the shared trials still equal freshly made
+        # ones: no run wrote to them.
+        rebuilt = real(fresh.trials("LiR")[0].workload, seed=3)
+        assert [t.trial_id for t in fresh.trials("LiR")] == [t.trial_id for t in rebuilt]
+        for shared, again in zip(fresh.trials("LiR"), rebuilt):
+            assert np.array_equal(shared.source.curve.values, again.source.curve.values)
+
 
 class TestFigureRunners:
     def test_fig1(self, context):

@@ -278,6 +278,38 @@ class TestRestartAdoption:
             second.close()
 
 
+class TestEventsPaging:
+    def test_page_reads_only_files_at_or_past_the_cursor(
+        self, tmp_path, fake_run_scenario, monkeypatch
+    ):
+        import pathlib
+
+        spec = {"workload": "LiR", "theta": [0.3, 0.5, 0.7, 1.0], "predictor": "oracle"}
+        registry = JobRegistry(tmp_path / "cache", jobs=0, fsync=False, poll_interval=0.02)
+        try:
+            record, _ = registry.submit(spec, jobs=0)
+            job_id = record["id"]
+            drain(registry, job_id)
+            wait_for(lambda: registry.job(job_id)["state"] == "done")
+
+            read = []
+            real = pathlib.Path.read_text
+
+            def spy(path, *args, **kwargs):
+                if path.parent.name == "events":
+                    read.append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "read_text", spy)
+            events, cursor = registry.events_page(job_id, cursor=2)
+            assert [e["seq"] for e in events] == [2, 3]
+            assert cursor == 4
+            # Files below the cursor are skipped by name, unread.
+            assert read == ["000002.json", "000003.json"]
+        finally:
+            registry.close()
+
+
 class TestMisc:
     def test_healthz_and_listing(self, service, client):
         status, _headers, payload = client._request("GET", "/healthz")

@@ -570,6 +570,34 @@ class TestDistributedRunner:
         assert result.executed_count == 1
         assert len(fake_run_scenario) == 1
 
+    def test_a_second_run_reuses_the_market_snapshots(
+        self, tmp_path, fake_run_scenario, monkeypatch
+    ):
+        import repro.market.dataset as dataset_mod
+
+        generated = []
+        real = dataset_mod.generate_default_dataset
+
+        def counted(*args, **kwargs):
+            generated.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "generate_default_dataset", counted)
+        for expected in ([0], []):
+            generated.clear()
+            runner = DistributedSweepRunner(
+                cache=tmp_path / "cells", jobs=0, poll_interval=0.01
+            )
+            thread = self._drain_in_background(runner)
+            try:
+                result = runner.run(tiny_grid(), timeout=60.0)
+            finally:
+                thread.join()
+            assert result.executed_count == len(tiny_grid())
+            # The coordinator generates a seed's market only for a
+            # cache that has no snapshot of it yet.
+            assert generated == expected
+
     def _drain_in_background(self, runner):
         def work():
             queue = TaskQueue.attach(runner.queue_dir, wait_seconds=30.0)

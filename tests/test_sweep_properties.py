@@ -1,27 +1,27 @@
 """Property tests for the sweep task-queue partitioner.
 
-``SweepRunner._shards`` groups pending cells by ``(seed, scale)`` and
-``_task_order`` flattens those groups into the streaming dispatch
-queue.  For random grids and worker counts, the invariants that keep
-the executor correct:
+``shard_cells`` groups pending cells by ``(seed, scale)`` and
+``SweepRunner._task_order`` cuts that grouped order into one lane per
+worker, interleaved task by task.  For random grids and worker counts,
+with ``w = min(jobs, n)`` lanes over ``n`` pending cells, the
+invariants that keep the executor correct and its workers warm:
 
 * every pending scenario appears exactly once (nothing dropped or
   duplicated — a dropped cell would silently vanish from the sweep, a
   duplicated one would double-simulate and race on its cache slot);
 * no shard is empty (an empty task would wedge a pool worker on
-  nothing);
-* every shard is context-homogeneous and bounded by the even
-  ``jobs``-way split target;
-* the queue is a permutation of the pending cells that preserves each
-  shard's internal order.
+  nothing), and every shard is context-homogeneous;
+* each lane ``order[k::w]`` visits every context in one unbroken run,
+  so a worker's context memo serves a lane without rebuilding;
+* when no context holds more than ``n // w`` pending cells, the first
+  ``w`` tasks touch pairwise-distinct contexts, so workers build
+  distinct contexts concurrently at sweep start.
 """
 
-import math
-
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep.runner import SweepRunner
+from repro.sweep.runner import SweepRunner, shard_cells
 from repro.sweep.scenario import Scenario, ScenarioGrid
 
 #: Small axis pools keep scenario construction cheap while still
@@ -49,50 +49,60 @@ def pending_from(raw) -> list:
     )
 
 
+def context_of(scenario) -> tuple:
+    return (scenario.seed, scenario.scale)
+
+
 @settings(deadline=None, max_examples=60)
-@given(raw=cells, jobs=jobs)
-def test_shards_partition_pending_exactly(raw, jobs):
+@given(raw=cells)
+def test_shards_partition_pending_exactly(raw):
     pending = pending_from(raw)
-    shards = SweepRunner(jobs=jobs)._shards(pending)
+    shards = shard_cells(pending)
 
     flat = [scenario for shard in shards for scenario in shard]
     assert sorted(s.fingerprint() for s in flat) == sorted(
         s.fingerprint() for s in pending
     )  # exactly once, nothing lost or duplicated
     assert all(shards)  # no empty shards
-
-    target = max(1, math.ceil(len(pending) / jobs))
     for shard in shards:
-        # One experiment context per shard...
-        assert len({(s.seed, s.scale) for s in shard}) == 1
-        # ...and no shard hoards more than the even split target.
-        assert len(shard) <= target
+        # One experiment context per shard.
+        assert len({context_of(s) for s in shard}) == 1
 
 
 @settings(deadline=None, max_examples=60)
 @given(raw=cells, jobs=jobs)
-def test_task_order_is_a_shard_order_preserving_permutation(raw, jobs):
+def test_task_order_is_a_permutation_of_pending(raw, jobs):
     pending = pending_from(raw)
-    runner = SweepRunner(jobs=jobs)
-    ordered = runner._task_order(pending)
-
+    ordered = SweepRunner(jobs=jobs)._task_order(pending)
     assert sorted(s.fingerprint() for s in ordered) == sorted(
         s.fingerprint() for s in pending
-    )  # a permutation: the queue holds every cell exactly once
-    position = {s.fingerprint(): i for i, s in enumerate(ordered)}
-    for shard in runner._shards(pending):
-        positions = [position[s.fingerprint()] for s in shard]
-        assert positions == sorted(positions)  # per-shard order preserved
+    )  # the queue holds every cell exactly once
 
 
 @settings(deadline=None, max_examples=60)
 @given(raw=cells, jobs=jobs)
-def test_task_order_interleaves_distinct_contexts_first(raw, jobs):
-    """The head of the queue spreads across distinct shards, so the
-    first ``jobs`` dispatches never pile onto one context."""
+def test_task_order_lanes_visit_each_context_in_one_run(raw, jobs):
     pending = pending_from(raw)
-    runner = SweepRunner(jobs=jobs)
-    shards = runner._shards(pending)
-    head = runner._task_order(pending)[: len(shards)]
-    first_cells = {shard[0].fingerprint() for shard in shards}
-    assert {s.fingerprint() for s in head} == first_cells
+    ordered = SweepRunner(jobs=jobs)._task_order(pending)
+    lanes = min(jobs, len(pending))
+    for lane in range(lanes):
+        runs = [context_of(s) for s in ordered[lane::lanes]]
+        starts = [
+            context
+            for index, context in enumerate(runs)
+            if index == 0 or runs[index - 1] != context
+        ]
+        assert len(starts) == len(set(starts))  # no context comes back
+
+
+@settings(deadline=None, max_examples=60)
+@given(raw=cells, jobs=jobs)
+def test_task_order_head_touches_distinct_contexts(raw, jobs):
+    """The head of the queue spreads across distinct contexts whenever
+    no context could fill a whole lane, so the first dispatches never
+    pile onto one context."""
+    pending = pending_from(raw)
+    lanes = min(jobs, len(pending))
+    assume(max(len(shard) for shard in shard_cells(pending)) <= len(pending) // lanes)
+    head = SweepRunner(jobs=jobs)._task_order(pending)[:lanes]
+    assert len({context_of(s) for s in head}) == lanes

@@ -20,6 +20,7 @@ from repro.sweep.runner import (
     SweepResult,
     SweepRunner,
     run_scenario,
+    shard_cells,
     summarize_run,
 )
 from repro.sweep.scenario import Scenario, ScenarioGrid
@@ -425,7 +426,7 @@ class TestTaskOrder:
         pending = list(grid)
         runner = SweepRunner(jobs=2)
         ordered = runner._task_order(pending)
-        for shard in runner._shards(pending):
+        for shard in shard_cells(pending):
             positions = [ordered.index(s) for s in shard]
             assert positions == sorted(positions)
 
@@ -435,20 +436,97 @@ class TestShards:
         grid = ScenarioGrid.from_axes(
             workload=["LiR", "LoR"], theta=[0.7, 1.0], predictor="oracle", seed=[0, 1]
         )
-        shards = SweepRunner(jobs=4)._shards(list(grid))
+        shards = shard_cells(list(grid))
         for shard in shards:
             assert len({(s.seed, s.scale) for s in shard}) == 1
         assert sum(len(shard) for shard in shards) == len(grid)
 
-    def test_shards_split_large_buckets(self):
-        grid = ScenarioGrid.from_axes(
-            workload="LiR",
-            theta=[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
-            predictor="oracle",
+
+class TestWarmPoolWorkers:
+    """Pool workers build each context once per sweep, and a cache's
+    market snapshots are generated once, then reused."""
+
+    SEEDS = 3 * runner_mod._MAX_CACHED_CONTEXTS
+
+    @staticmethod
+    def regimes_grid(seeds: int) -> ScenarioGrid:
+        # The same four Single-Spot cells on every seed.
+        return ScenarioGrid.from_axes(
+            approach="single_spot",
+            workload=["LiR", "LoR"],
+            instance=["r4.large", "r4.xlarge"],
+            seed=list(range(seeds)),
         )
-        shards = SweepRunner(jobs=4)._shards(list(grid))
-        assert len(shards) == 4
-        assert all(len(shard) == 2 for shard in shards)
+
+    @pytest.fixture()
+    def generated(self, monkeypatch):
+        """Seeds ``generate_default_dataset`` is called for, in this
+        process only."""
+        import repro.market.dataset as dataset_mod
+
+        seeds = []
+        real = dataset_mod.generate_default_dataset
+
+        def counted(*args, **kwargs):
+            seeds.append(kwargs["seed"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dataset_mod, "generate_default_dataset", counted)
+        return seeds
+
+    def test_each_worker_builds_a_context_once_per_seed(self, tmp_path, monkeypatch):
+        import repro.analysis.context as context_mod
+
+        log = tmp_path / "builds.log"
+        real = context_mod.build_context
+
+        def counted(*args, **kwargs):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{kwargs['seed']}\n")
+            return real(*args, **kwargs)
+
+        # Installed before the pool forks, so every worker inherits the
+        # wrapper; an empty memo, so no worker inherits a context.
+        monkeypatch.setattr(context_mod, "build_context", counted)
+        monkeypatch.setattr(runner_mod, "_CONTEXT_CACHE", {})
+        grid = self.regimes_grid(self.SEEDS)
+        pooled = SweepRunner(jobs=2, cache=tmp_path / "cells").run(grid)
+
+        builds = log.read_text(encoding="utf-8").splitlines()
+        # At most one build per seed per worker, plus a seed split
+        # between the two lanes; a queue that cycles through more seeds
+        # than the memo holds builds one per cell.
+        assert len(builds) <= 2 * (self.SEEDS + 1) < len(grid)
+        assert summary_bytes(pooled) == summary_bytes(SweepRunner(jobs=1).run(grid))
+
+    def test_a_second_pool_run_reuses_the_snapshots(self, tmp_path, generated):
+        grid = self.regimes_grid(2)
+        SweepRunner(jobs=2, cache=tmp_path / "cells").run(grid)
+        assert sorted(generated) == [0, 1]
+        generated.clear()
+        SweepRunner(jobs=2, cache=tmp_path / "cells").run(grid)
+        assert generated == []
+
+    def test_a_corrupt_snapshot_is_regenerated(self, tmp_path, generated):
+        import numpy as np
+
+        from repro.market.snapshot import load_market_snapshot
+
+        runner = SweepRunner(jobs=2, cache=tmp_path / "cells")
+        pending = list(self.regimes_grid(2))
+        runner.write_market_snapshots(pending)
+        broken = runner_mod.market_snapshot_dir(runner.cache.root, 1)
+        (broken / "meta.json").write_text("{not json", encoding="utf-8")
+        generated.clear()
+
+        runner.write_market_snapshots(pending)
+        assert generated == [1]
+        repaired = load_market_snapshot(broken, mmap=False)
+        fresh = build_context(seed=1).dataset
+        assert repaired.instance_types == fresh.instance_types
+        for name in fresh.instance_types:
+            assert np.array_equal(repaired[name].times, fresh[name].times)
+            assert np.array_equal(repaired[name].prices, fresh[name].prices)
 
 
 class TestMemoKeyGranularity:
