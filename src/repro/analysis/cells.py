@@ -19,7 +19,7 @@ from repro.core.orchestrator import SpotTuneOrchestrator
 from repro.workloads.catalog import get_workload
 
 
-def run_cell(
+def make_orchestrator(
     context,
     workload_name: str,
     theta: float,
@@ -29,15 +29,9 @@ def run_cell(
     reschedule_after: float = 3600.0,
     refund_enabled: bool = True,
     mcnt: int = 3,
-) -> dict:
-    """Simulate one cell and return its order-independent summary.
-
-    Construction matches ``ExperimentContext.spottune_run`` field for
-    field, so a cell run here is byte-identical to the same cell run
-    through the context (given the same predictor object semantics).
-    """
-    from repro.sweep.runner import summarize_run
-
+):
+    """The orchestrator of one cell, built as
+    ``ExperimentContext.spottune_run`` builds it, field for field."""
     workload = get_workload(workload_name)
     orchestrator = orchestrator_cls(
         workload,
@@ -55,4 +49,17 @@ def run_cell(
         checkpoint_policy=policy_from_spec(checkpoint_policy, predictor=predictor),
     )
     orchestrator.provider.billing.refund_enabled = refund_enabled
+    return orchestrator
+
+
+def run_cell(context, workload_name: str, theta: float, predictor, **kwargs) -> dict:
+    """Simulate one cell and return its order-independent summary.
+
+    ``kwargs`` are :func:`make_orchestrator`'s.  A cell run here is
+    byte-identical to the same cell run through the context (given the
+    same predictor object semantics).
+    """
+    from repro.sweep.runner import summarize_run
+
+    orchestrator = make_orchestrator(context, workload_name, theta, predictor, **kwargs)
     return summarize_run(orchestrator.run())

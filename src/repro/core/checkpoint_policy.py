@@ -18,6 +18,7 @@ as future work.  Both are implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.cloud.instance import InstanceType
@@ -42,6 +43,22 @@ class CheckpointPolicy:
     def should_checkpoint(self, context: PolicyContext) -> bool:
         return False
 
+    def next_checkpoint_time(
+        self, last_checkpoint_time: float, vm_assigned_at: float
+    ) -> float | None:
+        """Earliest time :meth:`should_checkpoint` could return True for
+        a job whose VM was assigned at ``vm_assigned_at``.
+
+        ``math.inf`` means never and ``None`` means unknown.  The
+        orchestrator skips poll ticks before this time, so a policy that
+        cannot state it must return ``None``.  A subclass that overrides
+        :meth:`should_checkpoint` without restating this method reads as
+        unknown.
+        """
+        if type(self).should_checkpoint is not CheckpointPolicy.should_checkpoint:
+            return None
+        return math.inf
+
 
 class NoticeOnlyPolicy(CheckpointPolicy):
     """The paper's default: rely on the two-minute notice."""
@@ -62,6 +79,15 @@ class PeriodicPolicy(CheckpointPolicy):
             return False
         anchor = max(context.last_checkpoint_time, context.now - context.vm_age)
         return context.now - anchor >= self.interval
+
+    def next_checkpoint_time(
+        self, last_checkpoint_time: float, vm_assigned_at: float
+    ) -> float | None:
+        """The interval after the later of the last checkpoint and the
+        VM assignment."""
+        if type(self).should_checkpoint is not PeriodicPolicy.should_checkpoint:
+            return None
+        return max(last_checkpoint_time, vm_assigned_at) + self.interval
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ Runs one workload's HPT jobs (one per hyper-parameter configuration,
 each on its own spot VM) over the simulated cloud:
 
 * every 10 seconds the loop polls all jobs (Algorithm 1 lines 15-46);
+  runs of quiet ticks are replayed in bulk (see below);
 * on a revocation notice, the job checkpoints to the object store and
   re-enters the waiting queue; the doomed VM keeps running until AWS
   revokes it — within its first instance hour that makes the whole
@@ -22,6 +23,29 @@ each on its own spot VM) over the simulated cloud:
 If a VM dies before its notice is processed (revocation within seconds
 of launch), progress since the last checkpoint is genuinely lost and
 the job resumes from its checkpoint — the fault-tolerance path.
+
+Most poll ticks are quiet: no event fires, no job deploys, and no job
+finishes, checkpoints or changes VM; running jobs only advance.  Before
+each tick the loop finds the first tick at which anything can happen
+and replays every quiet tick before it in one step, with the state the
+per-tick code would leave: the same tick times, each tick's progress
+and per-tick sum into the segment's steps, the performance-matrix
+updates, and the metric points reached.  Never skipped are a tick that
+fires an event (notice or revocation, also of a VM no job holds any
+more), one at which a waiting job may deploy (every attempt draws a
+fresh max-price delta), and any tick of a running job whose checkpoint
+policy cannot state when it next fires.  The other candidates are
+computed from float formulas — a running job's cutoff and next plateau
+point (read off its progress), its VM recycle, its policy's next
+checkpoint, and the run's deadline — so the replay stops at least one
+tick before each and the per-tick code, the only place that acts,
+decides.
+
+A simulated trial's observed points are always steps 1, 1 + v, ...
+up to the highest step reached, whatever the restores and roll-backs,
+so EarlyCurve's prediction is a pure function of the trial and the
+observed count; it is computed once per (trial, count) and shared by
+every run of the trial (see :class:`~repro.earlycurve.predictor.ObservationTable`).
 """
 
 from __future__ import annotations
@@ -38,7 +62,12 @@ from repro.core.checkpoint_policy import CheckpointPolicy, NoticeOnlyPolicy, Pol
 from repro.core.config import SpotTuneConfig
 from repro.core.perf_matrix import PerformanceMatrix
 from repro.core.provisioner import ProvisionDecision, Provisioner
-from repro.earlycurve.predictor import EarlyCurvePredictor, StopReason, rank_configurations
+from repro.earlycurve.predictor import (
+    EarlyCurvePredictor,
+    ObservationTable,
+    StopReason,
+    rank_configurations,
+)
 from repro.market.dataset import SpotPriceDataset
 from repro.revpred.predictor import RevocationPredictor
 from repro.sim.events import Simulation
@@ -60,6 +89,8 @@ class _Job:
     curve_predictor: EarlyCurvePredictor
     record: JobRecord
     cutoff_steps: int
+    #: The trial's metric table, or None for a live-trainer trial.
+    table: Optional[ObservationTable]
     steps_done: float = 0.0
     checkpoint_steps: float = 0.0
     vm: Optional[SpotVM] = None
@@ -105,15 +136,6 @@ class SpotTuneOrchestrator:
         self.checkpoint_policy = (
             checkpoint_policy if checkpoint_policy is not None else NoticeOnlyPolicy()
         )
-        # Notice-only (and the bare base) policy never asks for an
-        # extra checkpoint; skipping the PolicyContext construction on
-        # every poll of every job is pure win.  Exact-type check: a
-        # subclass may override should_checkpoint and must not be
-        # skipped.
-        self._policy_never_fires = type(self.checkpoint_policy) in (
-            CheckpointPolicy,
-            NoticeOnlyPolicy,
-        )
         self.sim = Simulation(start=start_time)
         self.provider = SimCloudProvider(self.sim, dataset)
         self.store = ObjectStore()
@@ -139,6 +161,7 @@ class SpotTuneOrchestrator:
             curve_predictor=curve_predictor,
             record=JobRecord(trial_id=trial.trial_id),
             cutoff_steps=curve_predictor.cutoff_step,
+            table=trial.observation_table(self.workload.validate_every),
         )
 
     # ------------------------------------------------------------------
@@ -149,10 +172,7 @@ class SpotTuneOrchestrator:
         start = self.sim.now
         self._poll_until_done()
         ranking_time = self.sim.now
-        predictions = {
-            job.trial_id: job.curve_predictor.predict_final().predicted_final
-            for job in self._jobs
-        }
+        predictions = {job.trial_id: self._predict_final(job) for job in self._jobs}
         for job in self._jobs:
             job.record.predicted_final = predictions[job.trial_id]
         selected = rank_configurations(
@@ -194,6 +214,7 @@ class SpotTuneOrchestrator:
                     f"simulation exceeded {MAX_SIMULATED_SECONDS}s; "
                     "the run appears stuck (trace too short or jobs starved)"
                 )
+            self._replay_quiet_ticks(deadline)
             self.sim.run_until(self.sim.now + self.config.poll_interval)
             now = self.sim.now
             for job in self._jobs:
@@ -235,35 +256,135 @@ class SpotTuneOrchestrator:
             self.provider.terminate(job.vm)
             self._close_segment(job, now)
             return
-        if self._policy_never_fires:
-            return
         if self.checkpoint_policy.should_checkpoint(self._policy_context(job, now)):
             self._checkpoint(job, now)
+
+    # ------------------------------------------------------------------
+    # Quiet-tick replay
+    # ------------------------------------------------------------------
+    def _replay_quiet_ticks(self, deadline: float) -> None:
+        """Replay, in one step, every tick before the first one at which
+        anything can happen (see the module docstring)."""
+        now = self.sim.now
+        interval = self.config.poll_interval
+        # Ticks strictly before `exact` are quiet: event and deploy
+        # times compare exactly against the tick times.
+        exact = self.sim.queue.peek_time()
+        if exact is None:
+            exact = math.inf
+        # Ticks more than one interval before `soon` are quiet.
+        soon = deadline
+        running = []
+        for job in self._jobs:
+            if job.finished:
+                continue
+            if job.vm is None:
+                exact = min(exact, job.busy_until)
+            else:
+                running.append(job)
+            if exact <= now + interval:
+                return
+        for job in running:
+            soon = min(soon, self._quiet_until(job))
+            if soon <= now + 2 * interval:
+                return
+        ticks = []
+        tick = now + interval
+        while tick < exact and tick + interval < soon:
+            ticks.append(tick)
+            tick += interval
+        if not ticks:
+            return
+        for job in running:
+            self._advance(job, ticks)
+            self.matrix.update_repeated(
+                job.vm.instance, job.trial_id, job.segment_sps, len(ticks)
+            )
+        self.sim.run_until(ticks[-1])
+
+    def _quiet_until(self, job: _Job) -> float:
+        """Earliest time a running job may finish, checkpoint or
+        recycle; -inf when that may be the next tick."""
+        if job.steps_done + 1e-9 >= job.cutoff_steps:
+            return -math.inf
+        due = self.checkpoint_policy.next_checkpoint_time(
+            job.last_checkpoint_time, job.vm_assigned_at
+        )
+        if due is None:
+            return -math.inf
+        due = min(
+            due,
+            job.vm_assigned_at + self.config.reschedule_after,
+            self._time_at_steps(job, job.cutoff_steps - 1e-9),
+        )
+        if self.config.early_shutdown_enabled:
+            table = job.table
+            if table is None:
+                return -math.inf
+            predictor = job.curve_predictor
+            seen = len(predictor.values)
+            plateau = int(table.plateau_next[max(seen, 1) - 1]) + 1
+            if table.step(plateau) < predictor.cutoff_step:
+                if plateau == seen:
+                    return -math.inf
+                due = min(due, self._time_at_steps(job, table.step(plateau)))
+        return due
+
+    @staticmethod
+    def _time_at_steps(job: _Job, steps: float) -> float:
+        """When the running segment's progress reaches ``steps``."""
+        return job.anchor + (steps - job.steps_at_anchor) * job.segment_sps
 
     # ------------------------------------------------------------------
     # Progress and metrics
     # ------------------------------------------------------------------
     def _sync_progress(self, job: _Job, now: float) -> None:
-        if now <= job.anchor or job.current_segment is None:
+        self._advance(job, (now,))
+
+    def _advance(self, job: _Job, ticks) -> None:
+        """Progress at each poll tick in ``ticks``, then observe the
+        metric points reached.  Each tick's step count is the closed
+        form from the segment's anchor; the segment's steps are the
+        per-tick float sum, as one sync per tick leaves them."""
+        segment = job.current_segment
+        if segment is None:
             return
-        raw = job.steps_at_anchor + (now - job.anchor) / job.segment_sps
-        new_steps = min(raw, float(job.cutoff_steps))
-        delta = new_steps - job.steps_done
-        if delta <= 0:
+        anchor = job.anchor
+        base = job.steps_at_anchor
+        sps = job.segment_sps
+        cutoff = float(job.cutoff_steps)
+        steps_done = job.steps_done
+        segment_steps = segment.steps
+        for now in ticks:
+            if now <= anchor:
+                continue
+            new_steps = base + (now - anchor) / sps
+            if cutoff < new_steps:
+                new_steps = cutoff
+            delta = new_steps - steps_done
+            if delta > 0:
+                steps_done = new_steps
+                segment_steps += delta
+        if steps_done == job.steps_done:
             return
-        job.steps_done = new_steps
-        job.current_segment.steps += delta
-        whole_steps = math.floor(job.steps_done)
+        job.steps_done = steps_done
+        segment.steps = segment_steps
+        whole_steps = math.floor(steps_done)
         first = job.next_metric_step
         if first <= whole_steps:
-            # The tick's metric points form an arithmetic sequence; pull
-            # their values in one vectorised read instead of one curve
-            # lookup per step.  Steps the predictor already saw (replay
-            # after a restore) can only sit at the head of the sequence,
-            # so one filter against the pre-tick high-water mark matches
-            # the old per-step `step > observed_steps` guard exactly.
             stride = self.workload.validate_every
             count = (whole_steps - first) // stride + 1
+            job.next_metric_step = first + stride * count
+            if job.table is not None:
+                job.curve_predictor.observe_table(
+                    job.table, (job.next_metric_step - 1) // stride
+                )
+                return
+            # The tick's metric points form an arithmetic sequence.
+            # Steps the predictor already saw (replay after a restore)
+            # can only sit at the head of the sequence, so one filter
+            # against the pre-tick high-water mark matches a per-step
+            # `step > observed_steps` guard exactly.
             observed = job.curve_predictor.observed_steps
             pending = [
                 step
@@ -274,7 +395,6 @@ class SpotTuneOrchestrator:
                 observe = job.curve_predictor.observe
                 for step, value in zip(pending, job.trial.metrics_at(pending)):
                     observe(step, float(value))
-            job.next_metric_step = first + stride * count
 
     def _reached_cutoff(self, job: _Job) -> bool:
         return job.steps_done + 1e-9 >= job.cutoff_steps
@@ -283,6 +403,17 @@ class SpotTuneOrchestrator:
         if not self.config.early_shutdown_enabled:
             return False
         return job.curve_predictor.should_stop() is StopReason.CONVERGED
+
+    def _predict_final(self, job: _Job) -> float:
+        """EarlyCurve's prediction of the job's final metric, computed
+        once per observed count of a table-backed trial."""
+        if job.table is None:
+            return job.curve_predictor.predict_final().predicted_final
+        memo = job.table.predictions
+        count = len(job.curve_predictor.values)
+        if count not in memo:
+            memo[count] = job.curve_predictor.predict_final().predicted_final
+        return memo[count]
 
     # ------------------------------------------------------------------
     # Lifecycle transitions

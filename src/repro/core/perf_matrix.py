@@ -47,6 +47,28 @@ class PerformanceMatrix:
             self._means[key] += (seconds_per_step - self._means[key]) / (count + 1)
         self._counts[key] = count + 1
 
+    def update_repeated(
+        self, instance: InstanceType, hp_id: str, seconds_per_step: float, times: int
+    ) -> None:
+        """Fold the same observation in ``times`` times; the count and
+        mean come out exactly as after ``times`` calls to :meth:`update`.
+        Once the mean equals the observation, further updates leave it
+        unchanged, so only the count moves."""
+        if times <= 0:
+            return
+        if seconds_per_step <= 0:
+            raise ValueError(f"seconds per step must be positive: {seconds_per_step}")
+        key = (instance.name, hp_id)
+        count = self._counts.get(key, 0)
+        mean = self._means[key] if count else seconds_per_step
+        if not count:
+            count, times = 1, times - 1
+        while times and mean != seconds_per_step:
+            mean += (seconds_per_step - mean) / (count + 1)
+            count, times = count + 1, times - 1
+        self._means[key] = mean
+        self._counts[key] = count + times
+
     def observation_count(self, instance: InstanceType, hp_id: str) -> int:
         return self._counts.get((instance.name, hp_id), 0)
 

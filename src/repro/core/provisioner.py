@@ -63,23 +63,44 @@ class Provisioner:
         self.rng = rng
         self.delta_low = delta_low
         self.delta_high = delta_high
+        self._quoted_at: float | None = None
+        self._quotes: list[tuple[InstanceType, float, float]] = []
+
+    def _market_quotes(self) -> list[tuple[InstanceType, float, float]]:
+        """(instance, current price, mean price over the last hour) for
+        the pool.  Both prices are pure in (trace, now), so they are
+        quoted once per simulated instant and shared by every decision
+        made at it (several jobs often deploy in the same poll tick)."""
+        now = self.provider.sim.now
+        if now != self._quoted_at:
+            self._quotes = [
+                (
+                    instance,
+                    self.provider.current_price(instance),
+                    self.provider.mean_price_last_hour(instance),
+                )
+                for instance in self.pool
+            ]
+            self._quoted_at = now
+        return self._quotes
 
     def get_best_instance(self, hp_id: str, t: float) -> ProvisionDecision:
         """The instance with the lowest expected step cost right now.
 
         Runs in three phases so the revocation probabilities for the
         whole pool are scored as one batched pass per decision: (1) the
-        market quotes plus the sequential max-price delta draws (the
-        draw order is part of the orchestrator's rng stream and must
-        stay in pool order), (2) one ``probability_many`` pass over all
-        candidates (memo-sharing, see CachingPredictor), (3) the
-        Equation 1/2 economics and the strict-``<`` argmin in pool
-        order.  Every phase computes exactly what the fused per-instance
-        loop computed, so decisions are bitwise-identical.
+        market quotes (memoised per instant) plus the sequential
+        max-price delta draws (the draw order is part of the
+        orchestrator's rng stream and must stay in pool order), (2) one
+        ``probability_many`` pass over all candidates (memo-sharing, see
+        CachingPredictor), (3) the Equation 1/2 economics and the
+        strict-``<`` argmin in pool order.  Every phase computes exactly
+        what the fused per-instance loop computed, so decisions are
+        bitwise-identical.
         """
+        market = self._market_quotes()
         quotes: list[tuple[InstanceType, float]] = []
-        for instance in self.pool:
-            current_price = self.provider.current_price(instance)
+        for instance, current_price, _ in market:
             delta = float(self.rng.uniform(self.delta_low, self.delta_high))
             quotes.append((instance, current_price + delta))
         probability_many = getattr(self.predictor, "probability_many", None)
@@ -94,8 +115,9 @@ class Provisioner:
             ]
         best: ProvisionDecision | None = None
         candidates: dict[str, float] = {}
-        for (instance, max_price), probability in zip(quotes, probabilities):
-            average_price = self.provider.mean_price_last_hour(instance)
+        for (instance, max_price), probability, (_, _, average_price) in zip(
+            quotes, probabilities, market
+        ):
             expected_hour_cost = (1.0 - probability) * average_price
             step_cost = self.matrix.get(instance, hp_id) / 3600.0 * expected_hour_cost
             candidates[instance.name] = step_cost

@@ -10,6 +10,11 @@ The Orchestrator streams (step, metric) points into one
   and extrapolates the final metric;
 * exposes :func:`rank_configurations` for the final top-mcnt selection
   (Algorithm 1, lines 48-53).
+
+A simulated trial's points are fixed in advance, so an
+:class:`ObservationTable` holds them once per trial together with the
+plateau counter after each point; the orchestrator then observes a
+poll tick's points as one slice of the table.
 """
 
 from __future__ import annotations
@@ -41,6 +46,55 @@ class PredictionOutcome:
     mode: str  # "extrapolated", "converged", or "observed"
     observed_steps: int
     fit: Optional[CurveFit] = None
+
+
+@dataclass(frozen=True)
+class ObservationTable:
+    """A fixed metric series as :class:`EarlyCurvePredictor` sees it.
+
+    ``values[i]`` is the metric at step ``1 + i * stride``.  After the
+    first ``count`` points, :meth:`EarlyCurvePredictor.observe` would
+    hold the plateau counter ``plateau_runs[count - 1]``, and
+    ``plateau_next[count - 1] + 1`` is the first count at or after it
+    where the plateau test holds (``len(values) + 1`` when none does).
+    Both use the default plateau window and tolerance.  ``predictions``
+    memoises :meth:`EarlyCurvePredictor.predict_final` by observed
+    count, which decides the observed points and hence the prediction.
+    """
+
+    values: np.ndarray
+    stride: int
+    plateau_runs: np.ndarray
+    plateau_next: np.ndarray
+    predictions: dict = field(default_factory=dict, compare=False)
+
+    @classmethod
+    def build(cls, values: np.ndarray, stride: int) -> "ObservationTable":
+        """Tabulate ``values`` (kept as given, so a view stays a view)."""
+        if not np.all(np.isfinite(values)):
+            raise ValueError("metric values must be finite")
+        count = len(values)
+        index_type = np.int16 if count < np.iinfo(np.int16).max else np.int32
+        # observe()'s scalar update, elementwise: |b - a| / max(|a|, 1e-12)
+        # rounds identically, and the run after point i is i minus the
+        # last point at or before i whose rate broke the tolerance.
+        rates = np.abs(np.diff(values)) / np.maximum(np.abs(values[:-1]), 1e-12)
+        positions = np.arange(count)
+        breaks = np.zeros(count, dtype=np.int64)
+        breaks[1:] = np.where(rates < PLATEAU_TOLERANCE, 0, positions[1:])
+        runs = positions - np.maximum.accumulate(breaks)
+        hits = np.append(np.flatnonzero(runs >= PLATEAU_WINDOW), count)
+        plateau_next = hits[np.searchsorted(hits, positions)]
+        return cls(
+            values=values,
+            stride=stride,
+            plateau_runs=runs.astype(index_type),
+            plateau_next=plateau_next.astype(index_type),
+        )
+
+    def step(self, count: int) -> int:
+        """The step of the ``count``-th point."""
+        return 1 + (count - 1) * self.stride
 
 
 @dataclass
@@ -91,6 +145,20 @@ class EarlyCurvePredictor:
                 self._plateau_run + 1 if rate < self.plateau_tolerance else 0
             )
         self._tracked = len(self.values)
+
+    def observe_table(self, table: ObservationTable, count: int) -> None:
+        """Record ``table``'s points up to the ``count``-th, leaving the
+        state that :meth:`observe` per point would.  The points seen so
+        far must be the table's first ones."""
+        seen = len(self.values)
+        if count <= seen:
+            return
+        self.steps.extend(
+            range(table.step(seen + 1), table.step(count) + 1, table.stride)
+        )
+        self.values.extend(table.values[seen:count].tolist())
+        self._plateau_run = int(table.plateau_runs[count - 1])
+        self._tracked = count
 
     @property
     def observed_steps(self) -> int:

@@ -135,7 +135,9 @@ class CachingPredictor:
     ``time_quantum`` seconds, max price to ``price_decimals``) lets the
     large simulation sweeps reuse LSTM inferences.  The market features
     RevPred consumes move on minute granularity, so a 5-minute quantum
-    loses almost nothing.
+    loses almost nothing.  The first query of a key fixes its value
+    (the inner model sees that query's unrounded max price), so a
+    cache's results depend on the order of its queries.
     """
 
     inner: RevocationPredictor
@@ -159,9 +161,11 @@ class CachingPredictor:
     ) -> list[float]:
         """Score a poll tick's pending queries in one pass.
 
-        Equivalent to calling :meth:`probability` per query (each key's
-        value is a pure function of the key, so evaluation order cannot
-        change any result).  The batching is structural, not numeric:
+        Equivalent to calling :meth:`probability` per query, in order.
+        The order matters: a key rounds the max price, but its value is
+        computed from the unrounded price of the first query that fills
+        it, so two prices sharing a key return whichever came first.
+        The batching is structural, not numeric:
         all queries sharing a (market, time-bucket) reuse one memoised
         history embedding, and only novel keys reach the model at all.
         Cross-query matrix batching is deliberately *not* done — a

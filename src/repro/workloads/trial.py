@@ -8,6 +8,10 @@ source.  Metric sources come in two flavours behind one interface:
   parametric curve (the simulation benchmarks);
 * :class:`LiveTrainerSource` — a real numpy trainer advanced lazily to
   the requested step (the end-to-end examples).
+
+A simulated trial also keeps EarlyCurve's table of its metric points
+(:meth:`Trial.observation_table`), built on first use and shared by
+every run of the trial.
 """
 
 from __future__ import annotations
@@ -64,6 +68,7 @@ class Trial:
     workload: WorkloadSpec
     config: dict
     source: MetricSource
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def trial_id(self) -> str:
@@ -94,6 +99,31 @@ class Trial:
     def true_final(self) -> float:
         """Ground-truth final metric (simulated sources only)."""
         return self.source.true_final
+
+    def observation_table(self, stride: int):
+        """EarlyCurve's :class:`~repro.earlycurve.predictor.ObservationTable`
+        of the metric at steps 1, 1 + stride, ... up to max_trial_steps.
+
+        Built on the first call and kept with the trial, so every run of
+        the trial shares it and its prediction memo.  The values are a
+        read-only view of the curve where it covers every step.  ``None``
+        for a source without a precomputed curve (a live trainer).
+        """
+        if not isinstance(self.source, SimulatedCurveSource):
+            return None
+        table = self._tables.get(stride)
+        if table is None:
+            from repro.earlycurve.predictor import ObservationTable
+
+            curve = self.source.curve
+            last = self.max_trial_steps
+            if curve.max_steps >= last:
+                values = curve.values[:last:stride]
+            else:
+                values = curve.values_at(range(1, last + 1, stride))
+            values.flags.writeable = False
+            table = self._tables[stride] = ObservationTable.build(values, stride)
+        return table
 
 
 def make_trials(workload: WorkloadSpec, seed: int = 0) -> list[Trial]:

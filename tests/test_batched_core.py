@@ -11,13 +11,19 @@ bitwise-identical to the frozen scalar core in
   every byte;
 * live-vs-reference runs of the same cell through both orchestrators,
   including a hypothesis sweep over random theta x checkpoint-policy x
-  mcnt combinations (with the revocation-heavy constant-0 predictor);
+  mcnt x continuation x recycle-age combinations (with the
+  revocation-heavy constant-0 predictor) that compares the whole run
+  result and the final performance matrix, not just the summary;
+* the EarlyCurve memo and observation tables: one fit per (trial,
+  observed count) in a context, and tables that reproduce
+  ``observe`` point by point;
 * unit bitwise pins for each building block (LSTM inference, the
   RevPred split forward, Tributary inference, plateau counter, bulk
   curve lookup, the memoising predictor's batch entry point, feature
   row memo, market snapshots).
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -26,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.cells import run_cell
+from repro.analysis.cells import make_orchestrator, run_cell
 from repro.analysis.context import build_context
 from repro.core.reference import (
     ReferenceBankPredictor,
@@ -135,11 +141,27 @@ class TestLiveVsReference:
         ),
         mcnt=st.integers(min_value=1, max_value=5),
         revocation_heavy=st.booleans(),
+        continue_top=st.booleans(),
+        reschedule_after=st.sampled_from([1800.0, 3600.0]),
     )
     @settings(max_examples=8, deadline=None)
-    def test_random_cells(self, workload, theta, policy, mcnt, revocation_heavy):
-        """Random theta x checkpoint-policy x mcnt cells are bitwise
-        identical through both cores.
+    def test_random_cells(
+        self,
+        workload,
+        theta,
+        policy,
+        mcnt,
+        revocation_heavy,
+        continue_top,
+        reschedule_after,
+    ):
+        """Random cells leave bitwise-identical runs through both cores:
+        every field of the run result (predictions, selection, each job
+        and segment record) and the final performance matrix.
+
+        The summary alone would hide what skipping quiet poll ticks
+        could get wrong: predictions reach it only through the ranking,
+        and the matrix only through later decisions.
 
         ``revocation_heavy=True`` runs the constant-0 predictor: the
         provisioner then bids barely above the current price and VMs
@@ -153,17 +175,73 @@ class TestLiveVsReference:
             if revocation_heavy
             else OraclePredictor(context.dataset)
         )
-        kwargs = dict(checkpoint_policy=policy, mcnt=mcnt)
-        live = run_cell(context, workload, theta, predictor, **kwargs)
-        reference = run_cell(
+        kwargs = dict(
+            checkpoint_policy=policy, mcnt=mcnt, reschedule_after=reschedule_after
+        )
+        live = _full_run(context, workload, theta, predictor, continue_top, **kwargs)
+        reference = _full_run(
             context,
             workload,
             theta,
             predictor,
+            continue_top,
             orchestrator_cls=ReferenceOrchestrator,
             **kwargs,
         )
-        assert canonical_json(live) == canonical_json(reference)
+        assert live == reference
+
+    @pytest.mark.parametrize("theta", [0.7, 1.0])
+    def test_live_trainer_trials(self, theta):
+        """Live-trainer trials have no observation table and no memo:
+        they observe point by point and are polled every tick while
+        early shutdown may fire, and still match the reference."""
+        from repro.core.config import SpotTuneConfig
+        from repro.core.orchestrator import SpotTuneOrchestrator
+        from repro.mlalgos.datasets import make_binary_classification
+        from repro.mlalgos.logistic_regression import LogisticRegressionTrainer
+        from repro.workloads.trial import LiveTrainerSource, Trial
+
+        context = _PROPERTY_CONTEXT
+        workload = get_workload("LoR")
+        data = make_binary_classification(n_samples=200, n_features=5, seed=0)
+        trials = [
+            Trial(
+                workload=workload,
+                config=config,
+                source=LiveTrainerSource(
+                    LogisticRegressionTrainer(data, lr=config["lr"], seed=0)
+                ),
+            )
+            for config in workload.configurations()[:2]
+        ]
+        results = []
+        for orchestrator_cls in (SpotTuneOrchestrator, ReferenceOrchestrator):
+            orchestrator = orchestrator_cls(
+                workload,
+                trials,
+                context.dataset,
+                OraclePredictor(context.dataset),
+                SpotTuneConfig(theta=theta, seed=0),
+                speed_model=context.speed_model,
+                start_time=context.replay_start,
+            )
+            result = orchestrator.run()
+            results.append(json.dumps(dataclasses.asdict(result), sort_keys=True))
+        assert results[0] == results[1]
+        assert all(not trial._tables for trial in trials)
+
+
+def _full_run(context, workload, theta, predictor, continue_top, **kwargs):
+    """Everything a run leaves, as exact text: the whole ``RunResult``
+    and the performance matrix's means and counts."""
+    orchestrator = make_orchestrator(context, workload, theta, predictor, **kwargs)
+    result = orchestrator.run(continue_top=continue_top)
+    matrix = orchestrator.matrix
+    return (
+        json.dumps(dataclasses.asdict(result), sort_keys=True),
+        repr(sorted(matrix._means.items())),
+        repr(sorted(matrix._counts.items())),
+    )
 
 
 #: Hypothesis examples share one context (module fixtures would trip
@@ -251,6 +329,91 @@ class TestPlateauIncremental:
         predictor.values.append(50.0)
         predictor.steps.append(30)
         assert not predictor.has_converged()
+
+
+class TestObservationTable:
+    @given(
+        workload=st.sampled_from(["LoR", "GBTR", "AlexNet", "ResNet"]),
+        stride=st.integers(min_value=1, max_value=3),
+        chunks=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=30),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_observe_per_point(self, workload, stride, chunks):
+        """Slices of the table leave the state that ``observe`` leaves
+        point by point, for every trial of the workload."""
+        for trial in _PROPERTY_CONTEXT.trials(workload):
+            table = trial.observation_table(stride)
+            steps = range(1, trial.max_trial_steps + 1, stride)
+            sliced, pointwise = (
+                EarlyCurvePredictor(max_trial_steps=trial.max_trial_steps, theta=1.0)
+                for _ in range(2)
+            )
+            count = 0
+            for chunk in chunks:
+                count = min(count + chunk, len(steps))
+                sliced.observe_table(table, count)
+                while len(pointwise.values) < count:
+                    step = steps[len(pointwise.values)]
+                    pointwise.observe(step, float(trial.metric_at(step)))
+                assert sliced.steps == pointwise.steps
+                assert sliced.values == pointwise.values
+                assert sliced._plateau_run == pointwise._plateau_run
+                assert sliced.has_converged() == pointwise.has_converged()
+                first_plateau = next(
+                    (
+                        later
+                        for later in range(count, len(steps) + 1)
+                        if table.plateau_runs[later - 1] >= sliced.plateau_window
+                    ),
+                    len(steps) + 1,
+                )
+                assert table.plateau_next[count - 1] + 1 == first_plateau
+
+    def test_compact_and_shared(self):
+        trial = build_context(seed=0).trials("LiR")[0]
+        table = trial.observation_table(1)
+        assert trial.observation_table(1) is table
+        assert np.shares_memory(table.values, trial.source.curve.values)
+        assert not table.values.flags.writeable
+        assert table.plateau_runs.dtype == np.int16
+        assert table.plateau_next.dtype == np.int16
+
+    def test_single_spot_cells_build_no_table(self):
+        """Only a SpotTune run builds the tables; the Single-Spot
+        baselines never observe metric points."""
+        context = build_context(seed=0)
+        context.baseline_run("LiR", "r4.large")
+        assert all(not trial._tables for trial in context.trials("LiR"))
+        context.spottune_run("LiR", 0.7, "constant")
+        assert all(trial._tables for trial in context.trials("LiR"))
+
+
+class TestEarlyCurveMemo:
+    def test_second_config_reuses_every_fit(self, monkeypatch):
+        """Two configs of one (workload, theta, seed) observe the same
+        points per trial, so the second fits nothing, and its
+        predictions match a fresh context's."""
+        from repro.earlycurve.model import StagedCurveModel
+
+        fits = []
+        fit = StagedCurveModel.fit
+
+        def counting_fit(self, values):
+            fits.append(len(values))
+            return fit(self, values)
+
+        monkeypatch.setattr(StagedCurveModel, "fit", counting_fit)
+        context = build_context(seed=0)
+        context.spottune_run("SVM", 0.7, "oracle", "notice")
+        first_fits = len(fits)
+        assert first_fits > 0
+        second = context.spottune_run("SVM", 0.7, "constant", "periodic:600")
+        assert len(fits) == first_fits
+        fresh = build_context(seed=0).spottune_run(
+            "SVM", 0.7, "constant", "periodic:600"
+        )
+        assert len(fits) > first_fits
+        assert second.predictions == fresh.predictions
 
 
 class TestBulkCurveLookup:

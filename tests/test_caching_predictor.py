@@ -59,3 +59,26 @@ class TestCachingPredictor:
         cache.probability(R4L, 100.0, 0.05)
         _, queried_time, _ = inner.calls[0]
         assert queried_time == 150.0  # midpoint of [0, 300)
+
+
+class TestFirstQueryFixesTheKey:
+    def test_first_unrounded_price_wins(self):
+        """Two max prices that round to one key return the value
+        computed from whichever was queried first, not from the key."""
+        from repro.analysis.context import build_context
+        from repro.revpred.trainer import untrained_predictor_bank
+
+        context = build_context(seed=0)
+        bank = untrained_predictor_bank(context.dataset)
+        t = context.replay_start + 100.0
+        midpoint = (t // 300.0 + 0.5) * 300.0
+        cheap, dear = 0.1231, 0.1234
+        cached = {}
+        for first, second in ((cheap, dear), (dear, cheap)):
+            cache = CachingPredictor(bank)
+            value = cache.probability(R4L, t, first)
+            assert cache.probability_many([(R4L, t, second)]) == [value]
+            assert value == bank.probability(R4L, midpoint, first)
+            cached[first] = value
+        assert round(cached[cheap], 6) == 0.319965
+        assert round(cached[dear], 6) == 0.320030

@@ -1,5 +1,7 @@
 """Tests for checkpoint policies and the notice-deadline failure path."""
 
+import math
+
 import pytest
 
 from repro.cloud.instance import get_instance_type
@@ -83,6 +85,21 @@ class TestPolicies:
         assert not policy.should_checkpoint(
             make_context(now=1000.0, last_checkpoint=900.0)
         )
+
+    def test_policies_state_their_next_checkpoint(self):
+        never = -math.inf
+        assert NoticeOnlyPolicy().next_checkpoint_time(never, 50.0) == math.inf
+        assert PeriodicPolicy(600.0).next_checkpoint_time(never, 50.0) == 650.0
+        assert PeriodicPolicy(600.0).next_checkpoint_time(400.0, 50.0) == 1000.0
+        predictive = PredictionBasedPolicy(predictor=ConstantPredictor(0.9))
+        assert predictive.next_checkpoint_time(never, 50.0) is None
+
+        class Eager(PeriodicPolicy):
+            def should_checkpoint(self, context):
+                return True
+
+        # Overrides the check without restating the time: unknown.
+        assert Eager(600.0).next_checkpoint_time(never, 50.0) is None
 
     def test_prediction_based_validation(self):
         with pytest.raises(ValueError, match="predictor"):

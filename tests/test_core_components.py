@@ -76,6 +76,22 @@ class TestPerformanceMatrix:
         assert matrix.get(R4L, "hp2") == 10.0  # untouched default
         assert matrix.observed_entries() == 1
 
+    def test_repeated_update_matches_single_updates(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            single = PerformanceMatrix(c0=5.0)
+            repeated = PerformanceMatrix(c0=5.0)
+            for _ in range(int(rng.integers(1, 4))):
+                speed = float(rng.choice([rng.uniform(0.5, 40.0), 7.25]))
+                times = int(rng.integers(0, 60))
+                for _ in range(times):
+                    single.update(R4L, "hp1", speed)
+                repeated.update_repeated(R4L, "hp1", speed, times)
+                assert repeated.get(R4L, "hp1") == single.get(R4L, "hp1")
+                assert repeated.observation_count(R4L, "hp1") == single.observation_count(
+                    R4L, "hp1"
+                )
+
     def test_invalid_updates_rejected(self):
         matrix = PerformanceMatrix(c0=5.0)
         with pytest.raises(ValueError):
@@ -162,6 +178,28 @@ class TestProvisioner:
         decision = provisioner.get_best_instance("hp1", 0.0)
         assert decision.instance.name == "r4.xlarge"
         assert decision.revocation_probability == 0.9
+
+    def test_market_quoted_once_per_instant(self):
+        provisioner = make_provisioner(
+            {"r4.large": 0.03, "m4.4xlarge": 0.36}, probability=0.0
+        )
+        provider = provisioner.provider
+        quotes = []
+        for name in ("current_price", "mean_price_last_hour"):
+            quote = getattr(provider, name)
+
+            def counting(instance, quote=quote):
+                quotes.append(instance.name)
+                return quote(instance)
+
+            setattr(provider, name, counting)
+        first = provisioner.get_best_instance("hp1", 0.0)
+        provisioner.get_best_instance("hp2", 0.0)
+        assert len(quotes) == 4  # two markets, two quotes each, once
+        provider.sim.run_until(10.0)
+        later = provisioner.get_best_instance("hp1", 10.0)
+        assert len(quotes) == 8
+        assert later.candidates == first.candidates
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
