@@ -17,9 +17,8 @@ retrieval, and graceful cancellation:
   coordinator's adaptive backoff, reused);
 * :mod:`repro.serve.app` — :class:`SweepService` and the request
   routing (``/v1/sweeps`` and friends);
-* :mod:`repro.serve.client` — :class:`SweepClient` /
-  :class:`AsyncSweepClient`, stdlib sync + asyncio clients with
-  cursor pagination and streaming.
+* :mod:`repro.serve.client` — :class:`SweepClient`, a stdlib client
+  with cursor pagination and streaming.
 
 Contract: ``GET /v1/sweeps/{id}/result`` returns bytes identical to
 the ``repro sweep --out`` file for the same spec, whatever fleet —
@@ -27,7 +26,7 @@ local, external, killed and re-leased — executed the cells.
 """
 
 from repro.serve.app import SweepService
-from repro.serve.client import AsyncSweepClient, SweepClient, SweepServiceError
+from repro.serve.client import SweepClient, SweepServiceError
 from repro.serve.jobs import (
     SERVE_SCHEMA_VERSION,
     TERMINAL_STATES,
@@ -40,7 +39,6 @@ from repro.serve.jobs import (
 from repro.serve.streams import iter_job_events
 
 __all__ = [
-    "AsyncSweepClient",
     "JobConflictError",
     "JobRegistry",
     "SERVE_SCHEMA_VERSION",

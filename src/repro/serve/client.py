@@ -2,12 +2,10 @@
 
 :class:`SweepClient` speaks plain ``http.client`` (one connection per
 request, a dedicated one per stream), so anything that can import the
-repo can drive a sweep service with no extra dependencies.
-:class:`AsyncSweepClient` wraps the same operations for asyncio
-callers via ``asyncio.to_thread`` — the service itself is
-thread-per-request, so threads *are* the concurrency primitive here,
-and the async surface just keeps an event loop unblocked while it
-waits.
+repo can drive a sweep service with no extra dependencies.  Asyncio
+callers wrap its calls in ``asyncio.to_thread``: the service itself
+is thread-per-request, so threads *are* the concurrency primitive
+here.
 
 Timeout semantics: a client-side ``timeout`` bounds how long *this
 process* waits, never how long the job runs — abandoning a poll, a
@@ -16,11 +14,10 @@ stream, or a ``wait()`` leaves the server-side job untouched.
 
 from __future__ import annotations
 
-import asyncio
 import http.client
 import json
 import time
-from typing import AsyncIterator, Iterator, Optional
+from typing import Iterator, Optional
 from urllib.parse import urlencode, urlsplit
 
 
@@ -203,52 +200,3 @@ class SweepClient:
                 )
             time.sleep(poll)
 
-
-class AsyncSweepClient:
-    """Asyncio façade over :class:`SweepClient` via ``to_thread``."""
-
-    def __init__(self, base_url: str, timeout: Optional[float] = None) -> None:
-        self._sync = SweepClient(base_url, timeout=timeout)
-
-    async def submit(self, spec: dict, **kwargs) -> dict:
-        return await asyncio.to_thread(self._sync.submit, spec, **kwargs)
-
-    async def status(self, job_id: str) -> dict:
-        return await asyncio.to_thread(self._sync.status, job_id)
-
-    async def jobs(self) -> list:
-        return await asyncio.to_thread(self._sync.jobs)
-
-    async def events(
-        self, job_id: str, cursor: int = 0, limit: Optional[int] = None
-    ) -> tuple[list, int]:
-        return await asyncio.to_thread(self._sync.events, job_id, cursor, limit)
-
-    async def result_text(self, job_id: str) -> str:
-        return await asyncio.to_thread(self._sync.result_text, job_id)
-
-    async def cancel(self, job_id: str) -> dict:
-        return await asyncio.to_thread(self._sync.cancel, job_id)
-
-    async def wait(self, job_id: str, **kwargs) -> dict:
-        return await asyncio.to_thread(self._sync.wait, job_id, **kwargs)
-
-    async def stream_events(
-        self, job_id: str, cursor: int = 0, timeout: Optional[float] = None
-    ) -> AsyncIterator[dict]:
-        """Async generator over the NDJSON stream.
-
-        The blocking reads happen on a worker thread, one line at a
-        time, so the event loop stays responsive for the duration of
-        the stream.
-        """
-        iterator = self._sync.stream_events(job_id, cursor, timeout=timeout)
-        sentinel = object()
-        try:
-            while True:
-                item = await asyncio.to_thread(next, iterator, sentinel)
-                if item is sentinel:
-                    return
-                yield item
-        finally:
-            iterator.close()

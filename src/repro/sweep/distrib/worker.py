@@ -8,11 +8,16 @@ state beyond their current lease, so SIGKILLing one at any instruction
 loses at most one *in-flight* cell, which re-leases to a survivor
 after the TTL.
 
-Execution goes through the unchanged :func:`repro.sweep.runner
-.run_scenario` path and the summaries land in the same
-:class:`~repro.sweep.cache.SweepCache` (and trained banks in the same
+A claimed cell runs through :func:`repro.sweep.runner.execute_cell`,
+the same call the serial loop and the pool workers make: it times the
+cell, counts its bank trainings and captures its error, and the
+``worker.cell.execute`` fault site fires inside it.  What stays here is
+what only a lease needs: the heartbeat around the call, the cached
+re-lease, the retry budget and quarantine, and the store — made only
+after the lease is confirmed, into the same
+:class:`~repro.sweep.cache.SweepCache` (trained banks into the same
 :class:`~repro.sweep.banks.BankCache`, flock-guarded) that serial and
-pool sweeps use — which is what keeps the distributed result
+pool sweeps use, which is what keeps the distributed result
 byte-identical to a serial run.
 """
 
@@ -29,7 +34,6 @@ from typing import Callable, Optional
 
 from repro import obs
 from repro.obs import publish as obs_publish
-from repro.sweep import banks as banks_mod
 from repro.sweep.banks import BankCache
 from repro.sweep.cache import SweepCache
 from repro.sweep.distrib import faults as faults_mod
@@ -37,6 +41,7 @@ from repro.sweep.distrib.faults import FaultPlan
 from repro.sweep.distrib.lease import Heartbeat, Lease
 from repro.sweep.distrib.queue import TaskQueue
 from repro.sweep.distrib.retry import backoff_delay, build_ledger_entry
+from repro.sweep.runner import _snapshot_path_for, execute_cell
 
 
 #: Worker ids become part of lease filenames, so they must be plain
@@ -213,8 +218,6 @@ class SweepWorker:
 
     # ------------------------------------------------------------------
     def _run_cell(self, lease: Lease) -> None:
-        from repro.sweep.runner import _snapshot_path_for, run_scenario
-
         if self.on_claim is not None:
             self.on_claim(lease)
         scenario = lease.scenario
@@ -240,29 +243,21 @@ class SweepWorker:
                 trained=0,
             )
             return
-        trained_before = banks_mod.train_count()
+        trained = 0
         seconds = 0.0
         if summary is None:
             # The heartbeat thread renews the lease every TTL/4 for as
             # long as the simulation runs, so a slow cell is never
-            # mistaken for a dead worker's.
-            cell_started = time.monotonic()
+            # mistaken for a dead worker's.  No cache is passed: the
+            # summary is stored below, once the lease is confirmed.
             with Heartbeat(lease) as heartbeat:
-                try:
-                    faults_mod.perform(
-                        self.faults, "worker.cell.execute", lease.name
-                    )
-                    summary = run_scenario(
-                        scenario,
-                        bank_cache=self.bank_cache,
-                        dataset_path=_snapshot_path_for(
-                            str(self.cache.root), scenario.seed
-                        ),
-                    )
-                except Exception as exc:  # noqa: BLE001 — isolate sibling cells
-                    error = f"{type(exc).__name__}: {exc}"
-                    traceback_text = traceback_mod.format_exc()
-            seconds = time.monotonic() - cell_started
+                summary, error, traceback_text, trained, seconds = execute_cell(
+                    scenario,
+                    bank_cache=self.bank_cache,
+                    dataset_path=_snapshot_path_for(self.cache.root, scenario.seed),
+                    faults=self.faults,
+                    fault_key=lease.name,
+                )
             self._note_cell_duration(lease, scenario, seconds)
             if heartbeat.lost:
                 # Overthrown: the whole process stalled past the TTL
@@ -271,7 +266,6 @@ class SweepWorker:
                 # we write nothing — not even the (identical) summary —
                 # so the fleet observes a single effective execution.
                 return
-        trained = banks_mod.train_count() - trained_before
         if trained:
             obs.inc("repro_bank_trainings_total", trained)
         if not lease.renew():

@@ -2,14 +2,16 @@
 
 ``run_scenario`` is the single code path that turns a
 :class:`~repro.sweep.scenario.Scenario` into a plain-data summary
-dict, whichever way it is invoked — serially against a shared
-:class:`~repro.analysis.context.ExperimentContext`, inside a worker
-process of the :class:`SweepRunner` pool, or replayed one cell at a
-time with :meth:`SweepRunner.run_one`.  Summaries contain only JSON
-scalars/lists, so the three paths produce byte-identical canonical
-JSON for the same cell — a guarantee that holds under *arbitrary* cell
-completion order, because the final :class:`SweepResult` is reordered
-to grid order regardless of which worker finished what first.
+dict, and :func:`execute_cell` is the one bracket every executor puts
+around it — the serial loop of :meth:`SweepRunner.run`, its pool
+workers and the fleet's :mod:`~repro.sweep.distrib.worker` alike: it
+counts the cell's bank trainings, times it, captures its error and
+stores its summary.  :meth:`SweepRunner.run_one` replays one cell with
+``run_scenario`` alone.  Summaries contain only JSON scalars/lists, so
+every path produces byte-identical canonical JSON for the same cell —
+a guarantee that holds under *arbitrary* cell completion order,
+because the final :class:`SweepResult` is reordered to grid order
+regardless of which worker finished what first.
 
 The pool path is a streaming executor: persistent workers consume
 individual cells from a task queue (``imap_unordered``, chunksize 1),
@@ -27,8 +29,9 @@ deterministic in the seed, so a pool run reproduces the serial results
 exactly.
 
 Persistence is incremental: summaries hit the on-disk cache cell by
-cell as they complete (workers write their own cells on the pool
-path), never in a batch at the end, so nothing already finished is
+cell as they complete (pool workers write their own cells, through
+the runner's own cache handles, so one ``fsync`` setting governs every
+process), never in a batch at the end, so nothing already finished is
 ever lost to a crash or interrupt.  Trained predictor banks persist
 the same way through the co-located :class:`~repro.sweep.banks
 .BankCache`: the first worker to need a bank trains and stores it,
@@ -41,9 +44,11 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+import traceback as traceback_mod
+from contextlib import closing
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 from repro import obs
 from repro.market.trace import HOUR
@@ -60,13 +65,6 @@ _CONTEXT_CACHE: dict = {}
 #: trained predictor banks), so a long-lived process sweeping many
 #: seeds must not retain them all; least-recently-used ones go first.
 _MAX_CACHED_CONTEXTS = 8
-
-
-#: "No opinion" marker for ``_context_for``'s ``bank_cache`` — library
-#: callers that don't pass one must leave a memoised context's bank
-#: cache untouched, while a SweepRunner always states its setting
-#: (including "disabled", i.e. ``None``).
-_BANK_CACHE_UNSET = object()
 
 
 def market_snapshot_dir(cache_root, seed: int):
@@ -117,7 +115,7 @@ def ensure_market_snapshots(cache_root, scenarios) -> None:
 
 
 def _context_for(
-    seed: int, scale: str, context=None, bank_cache=_BANK_CACHE_UNSET, dataset_path=None
+    seed: int, scale: str, context=None, bank_cache=None, dataset_path=None
 ):
     """The process-local context for ``(seed, scale)``.
 
@@ -127,13 +125,12 @@ def _context_for(
     not, goes through the same LRU touch/evict bookkeeping so the memo
     never grows past :data:`_MAX_CACHED_CONTEXTS`.
 
-    When ``bank_cache`` is given, memoised/worker-built contexts are
-    re-pointed at exactly that predictor-bank cache — including
-    ``None`` to detach one, so a runner configured with bank caching
-    disabled never keeps writing a cache memoised from an earlier
-    sweep in the same process.  A caller-supplied context keeps its
-    own bank cache (only a missing one is filled in): it belongs to
-    the caller, not the sweep.
+    Memoised/worker-built contexts are re-pointed at exactly the given
+    predictor-bank cache — ``None`` detaches one, so a runner with
+    bank caching disabled never keeps writing a cache memoised from an
+    earlier sweep in the same process.  A caller-supplied context
+    keeps its own bank cache (only a missing one is filled in): it
+    belongs to the caller, not the sweep.
 
     ``dataset_path`` (a market-snapshot directory) only matters when a
     fresh context is built here: it makes the new context memory-map
@@ -152,19 +149,15 @@ def _context_for(
         _CONTEXT_CACHE[key] = build_context(
             seed=int(seed),
             scale=scale,
-            bank_cache=None if bank_cache is _BANK_CACHE_UNSET else bank_cache,
+            bank_cache=bank_cache,
             dataset_path=dataset_path,
         )
     _CONTEXT_CACHE[key] = _CONTEXT_CACHE.pop(key)  # mark most recent
     while len(_CONTEXT_CACHE) > _MAX_CACHED_CONTEXTS:
         _CONTEXT_CACHE.pop(next(iter(_CONTEXT_CACHE)))
     ctx = _CONTEXT_CACHE[key]
-    if bank_cache is not _BANK_CACHE_UNSET:
-        if supplied:
-            if bank_cache is not None and getattr(ctx, "bank_cache", None) is None:
-                ctx.bank_cache = bank_cache
-        else:
-            ctx.bank_cache = bank_cache
+    if not supplied or getattr(ctx, "bank_cache", None) is None:
+        ctx.bank_cache = bank_cache
     return ctx
 
 
@@ -199,7 +192,7 @@ def summarize_run(result) -> dict:
 
 
 def run_scenario(
-    scenario: Scenario, context=None, bank_cache=_BANK_CACHE_UNSET, dataset_path=None
+    scenario: Scenario, context=None, bank_cache=None, dataset_path=None
 ) -> dict:
     """Simulate one grid cell and return its summary dict."""
     ctx = _context_for(
@@ -222,75 +215,89 @@ def run_scenario(
     return summarize_run(result)
 
 
-#: Worker-local memo of (SweepCache, BankCache) handles keyed by their
-#: roots — a persistent worker runs many cell tasks and must not
-#: re-open (and mkdir-check) the caches on every one.
-_WORKER_CACHES: dict = {}
+class CellOutcome(NamedTuple):
+    """What :func:`execute_cell` reports: a summary or an error."""
+
+    summary: Optional[dict]
+    #: ``"Type: message"`` of the exception the cell raised.
+    error: Optional[str]
+    traceback: Optional[str]
+    #: Predictor-bank trainings the cell caused in this process.
+    bank_trainings: int
+    #: Wall seconds of the simulation, the store excluded.
+    seconds: float
 
 
-def _caches_for(cache_root, bank_root):
-    key = (cache_root, bank_root)
-    if key not in _WORKER_CACHES:
-        # The parent's SweepCache already swept stale temp files; one
-        # directory scan per worker would be pure overhead.
-        _WORKER_CACHES[key] = (
-            SweepCache(cache_root, sweep_stale=False) if cache_root else None,
-            BankCache(bank_root) if bank_root else None,
-        )
-    return _WORKER_CACHES[key]
+def execute_cell(
+    scenario: Scenario,
+    *,
+    cache: Optional[SweepCache] = None,
+    context=None,
+    bank_cache: Optional[BankCache] = None,
+    dataset_path=None,
+    faults=None,
+    fault_key: str = "",
+) -> CellOutcome:
+    """Run one cell the way every executor does.
 
-
-def _pool_run_cell(
-    payload: tuple[dict, Union[str, None], Union[str, None]]
-) -> tuple[str, Union[dict, None], Union[str, None], int, float]:
-    """Pool worker entry point: run ONE cell, tag it by fingerprint.
-
-    One task per cell is what makes the executor streaming: the parent
-    learns about (and persists bookkeeping for) each cell the moment
-    its worker finishes it, with no shard barrier in between.  The
-    worker's :func:`_context_for` LRU keeps the contexts of recently
-    seen ``(seed, scale)`` groups alive, so interleaved seeds don't
-    rebuild contexts per cell.
-
-    The cell's summary is written to the result cache *here*, the
-    moment it exists — a later crash (of this worker, a sibling, or
-    the parent) cannot lose it.  A cell that raises is reported as
-    ``(fingerprint, None, error, trained)`` and its siblings still
-    run.  ``trained`` counts the predictor-bank trainings this cell
-    caused in this worker, so the parent can aggregate exactly-once
-    statistics across the pool.
+    Times :func:`run_scenario` (this module's global, looked up at
+    call time, so a patched stand-in runs on every executor), counts
+    the bank trainings it causes, and turns an exception into
+    ``"Type: message"`` plus traceback so siblings keep running.  A
+    summary is stored in ``cache`` the moment it exists; the fleet
+    worker passes none and stores once its lease is confirmed.
+    ``faults`` fires the ``worker.cell.execute`` site, keyed by
+    ``fault_key``, inside the captured region.
     """
-    scenario_dict, cache_root, bank_root = payload
-    scenario = Scenario.from_dict(scenario_dict)
-    cache, bank_cache = _caches_for(cache_root, bank_root)
+    summary = error = traceback_text = None
     trained_before = banks_mod.train_count()
     started = time.monotonic()
     try:
+        if faults is not None:
+            from repro.sweep.distrib import faults as faults_mod
+
+            faults_mod.perform(faults, "worker.cell.execute", fault_key)
         summary = run_scenario(
             scenario,
+            context=context,
             bank_cache=bank_cache,
-            # The parent wrote this seed's market snapshot before the
-            # pool started; mmap it instead of regenerating per worker.
-            dataset_path=_snapshot_path_for(cache_root, scenario.seed),
+            dataset_path=dataset_path,
         )
-    except Exception as error:  # noqa: BLE001 — isolate sibling cells
-        return (
-            scenario.fingerprint(),
-            None,
-            f"{type(error).__name__}: {error}",
-            banks_mod.train_count() - trained_before,
-            time.monotonic() - started,
-        )
+    except Exception as exc:  # noqa: BLE001 — isolate sibling cells
+        error = f"{type(exc).__name__}: {exc}"
+        traceback_text = traceback_mod.format_exc()
     seconds = time.monotonic() - started
-    obs.observe("repro_worker_cell_seconds", seconds)
-    if cache is not None:
+    trained = banks_mod.train_count() - trained_before
+    if error is None and cache is not None:
         cache.store(scenario, summary)
-    return (
-        scenario.fingerprint(),
-        summary,
-        None,
-        banks_mod.train_count() - trained_before,
-        seconds,
+    return CellOutcome(summary, error, traceback_text, trained, seconds)
+
+
+#: The runner's own (SweepCache, BankCache), installed once per pool
+#: worker by :func:`_pool_init`, so workers store with exactly the
+#: parent's settings (its ``fsync`` policy included).
+_POOL_CACHES: tuple = (None, None)
+
+
+def _pool_init(cache, bank_cache) -> None:
+    global _POOL_CACHES
+    _POOL_CACHES = (cache, bank_cache)
+
+
+def _pool_run_cell(task: tuple[int, Scenario]) -> tuple[int, CellOutcome]:
+    """Pool worker entry point: run ONE cell through :func:`execute_cell`,
+    tagged with its position in the task queue."""
+    index, scenario = task
+    cache, bank_cache = _POOL_CACHES
+    return index, execute_cell(
+        scenario,
+        cache=cache,
+        bank_cache=bank_cache,
+        # The parent wrote this seed's market snapshot before the
+        # pool started; mmap it instead of regenerating per worker.
+        dataset_path=_snapshot_path_for(
+            cache.root if cache is not None else None, scenario.seed
+        ),
     )
 
 
@@ -564,35 +571,26 @@ class SweepRunner:
             pending.append(scenario)
 
         failures: list[tuple[Scenario, str]] = []
-        if len(pending) > 1 and self.jobs > 1:
-            self._run_pool(pending, emit, failures)
-        else:
-            for scenario in pending:
-                trained_before = banks_mod.train_count()
-                started = time.monotonic()
-                try:
-                    with obs.trace.span(
-                        "cell",
-                        cell=f"seed={scenario.seed} {scenario.label()}",
-                    ):
-                        summary = run_scenario(
-                            scenario, self._context, self.bank_cache
-                        )
-                except Exception as error:  # noqa: BLE001 — drain siblings
-                    failures.append(
-                        (scenario, f"{type(error).__name__}: {error}")
-                    )
+        outcomes = (
+            self._pool_outcomes(pending)
+            if len(pending) > 1 and self.jobs > 1
+            else self._serial_outcomes(pending)
+        )
+        with closing(outcomes):  # an on_cell that raises stops the pool now
+            for scenario, outcome in outcomes:
+                if outcome.error is not None:
+                    failures.append((scenario, outcome.error))
                     continue
-                seconds = time.monotonic() - started
-                obs.observe("repro_worker_cell_seconds", seconds)
-                if self.cache is not None:
-                    self.cache.store(scenario, summary)
+                # Observed in the parent on both paths: a pool worker's
+                # registry dies with its process, but --profile and
+                # /metrics read this one.
+                obs.observe("repro_worker_cell_seconds", outcome.seconds)
                 emit(
                     CellResult(
                         scenario,
-                        summary,
-                        bank_trainings=banks_mod.train_count() - trained_before,
-                        seconds=seconds,
+                        outcome.summary,
+                        bank_trainings=outcome.bank_trainings,
+                        seconds=outcome.seconds,
                     )
                 )
         if failures:
@@ -604,9 +602,6 @@ class SweepRunner:
         return SweepResult(done[s.fingerprint()] for s in scenarios)
 
     # ------------------------------------------------------------------
-    def _task_order(self, pending: list[Scenario]) -> list[Scenario]:
-        return task_order(pending, self.jobs)
-
     def write_market_snapshots(self, pending) -> None:
         """Make sure each pending seed has a market snapshot for the
         workers to memory-map (see :func:`ensure_market_snapshots`).
@@ -617,7 +612,20 @@ class SweepRunner:
         if self.cache is not None:
             ensure_market_snapshots(self.cache.root, pending)
 
-    def _run_pool(self, pending, emit, failures) -> None:
+    def _serial_outcomes(self, pending) -> Iterator[tuple[Scenario, CellOutcome]]:
+        for scenario in pending:
+            with obs.trace.span(
+                "cell", cell=f"seed={scenario.seed} {scenario.label()}"
+            ):
+                outcome = execute_cell(
+                    scenario,
+                    cache=self.cache,
+                    context=self._context,
+                    bank_cache=self.bank_cache,
+                )
+            yield scenario, outcome
+
+    def _pool_outcomes(self, pending) -> Iterator[tuple[Scenario, CellOutcome]]:
         # Prefer fork where available: workers inherit any context the
         # parent already built (dataset, trained banks) copy-on-write.
         # Contexts the parent never built are constructed inside the
@@ -629,33 +637,18 @@ class SweepRunner:
             )
         methods = multiprocessing.get_all_start_methods()
         mp = multiprocessing.get_context("fork" if "fork" in methods else None)
-        by_fingerprint = {s.fingerprint(): s for s in pending}
-        cache_root = str(self.cache.root) if self.cache is not None else None
-        bank_root = (
-            str(self.bank_cache.root) if self.bank_cache is not None else None
-        )
-        ordered = self._task_order(pending)
-        tasks = [(s.to_dict(), cache_root, bank_root) for s in ordered]
-        with mp.Pool(processes=min(self.jobs, len(tasks))) as pool:
-            results = pool.imap_unordered(_pool_run_cell, tasks, chunksize=1)
-            # One task per cell: each result streams back the moment
+        ordered = task_order(pending, self.jobs)
+        with mp.Pool(
+            processes=min(self.jobs, len(pending)),
+            initializer=_pool_init,
+            initargs=(self.cache, self.bank_cache),
+        ) as pool:
+            # One task per cell: each outcome streams back the moment
             # its worker finishes it, already persisted and crash-safe,
             # so on_cell (and the CLI progress line) fires in real
             # completion order — no shard barrier.
-            for fingerprint, summary, error, trained, seconds in results:
-                scenario = by_fingerprint[fingerprint]
-                if error is not None:
-                    failures.append((scenario, error))
-                else:
-                    # Re-observed in the parent: the worker's registry
-                    # died with its process, but --profile and /metrics
-                    # read the parent's.
-                    obs.observe("repro_worker_cell_seconds", seconds)
-                    emit(
-                        CellResult(
-                            scenario,
-                            summary,
-                            bank_trainings=trained,
-                            seconds=seconds,
-                        )
-                    )
+            results = pool.imap_unordered(
+                _pool_run_cell, enumerate(ordered), chunksize=1
+            )
+            for index, outcome in results:
+                yield ordered[index], outcome

@@ -1,20 +1,19 @@
-"""Sync + async client round-trips against an in-process server.
+"""Client round-trips against an in-process server.
 
 Same harness as the API contract tests (ephemeral-port service,
 coordinate-only jobs, in-thread workers over a stubbed
 ``run_scenario``), but the subject is the *client* surface: cursor
-pagination over done-records, mid-stream cursor resume, the asyncio
-façade, and the guarantee that a client-side timeout abandons only the
-client's wait — never the server-side job.
+pagination over done-records, mid-stream cursor resume, and the
+guarantee that a client-side timeout abandons only the client's wait —
+never the server-side job.
 """
 
-import asyncio
 import socket
 import threading
 
 import pytest
 
-from repro.serve import AsyncSweepClient, JobRegistry, SweepClient, SweepService
+from repro.serve import JobRegistry, SweepClient, SweepService
 from repro.sweep import runner as runner_mod
 from repro.sweep.distrib import SweepWorker, TaskQueue
 
@@ -116,46 +115,3 @@ class TestSyncClient:
         assert final["state"] == "done"
         assert client.result_text(submitted["id"]).endswith("\n")
 
-
-class TestAsyncClient:
-    def test_round_trip(self, service):
-        async def scenario():
-            aclient = AsyncSweepClient(service.url, timeout=30.0)
-            submitted = await aclient.submit(SPEC, jobs=0)
-            assert submitted["state"] == "running"
-            worker = drain_in_background(service.registry, submitted["id"])
-            try:
-                streamed = []
-                async for line in aclient.stream_events(submitted["id"]):
-                    streamed.append(line)
-            finally:
-                worker.join(timeout=30.0)
-            assert [line["seq"] for line in streamed[:-1]] == [0, 1, 2]
-            assert streamed[-1]["state"] == "done"
-
-            final = await aclient.wait(submitted["id"], timeout=30.0)
-            assert final["state"] == "done"
-            events, cursor = await aclient.events(submitted["id"], limit=2)
-            assert [e["seq"] for e in events] == [0, 1]
-            events, _ = await aclient.events(submitted["id"], cursor=cursor)
-            assert [e["seq"] for e in events] == [2]
-            text = await aclient.result_text(submitted["id"])
-            assert text.endswith("\n")
-            jobs = await aclient.jobs()
-            assert [job["id"] for job in jobs] == [submitted["id"]]
-
-        asyncio.run(scenario())
-
-    def test_async_cancel(self, service):
-        async def scenario():
-            aclient = AsyncSweepClient(service.url, timeout=30.0)
-            submitted = await aclient.submit(
-                {"workload": "LiR", "theta": [0.5], "predictor": "oracle", "seed": 3},
-                jobs=0,
-            )
-            record = await aclient.cancel(submitted["id"])
-            assert record["state"] == "cancelled"
-            status = await aclient.status(submitted["id"])
-            assert status["state"] == "cancelled"
-
-        asyncio.run(scenario())

@@ -1,7 +1,7 @@
 """Property tests for the sweep task-queue partitioner.
 
 ``shard_cells`` groups pending cells by ``(seed, scale)`` and
-``SweepRunner._task_order`` cuts that grouped order into one lane per
+``task_order`` cuts that grouped order into one lane per
 worker, interleaved task by task.  For random grids and worker counts,
 with ``w = min(jobs, n)`` lanes over ``n`` pending cells, the
 invariants that keep the executor correct and its workers warm:
@@ -21,7 +21,7 @@ invariants that keep the executor correct and its workers warm:
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.sweep.runner import SweepRunner, shard_cells
+from repro.sweep.runner import shard_cells, task_order
 from repro.sweep.scenario import Scenario, ScenarioGrid
 
 #: Small axis pools keep scenario construction cheap while still
@@ -73,7 +73,7 @@ def test_shards_partition_pending_exactly(raw):
 @given(raw=cells, jobs=jobs)
 def test_task_order_is_a_permutation_of_pending(raw, jobs):
     pending = pending_from(raw)
-    ordered = SweepRunner(jobs=jobs)._task_order(pending)
+    ordered = task_order(pending, jobs)
     assert sorted(s.fingerprint() for s in ordered) == sorted(
         s.fingerprint() for s in pending
     )  # the queue holds every cell exactly once
@@ -83,7 +83,7 @@ def test_task_order_is_a_permutation_of_pending(raw, jobs):
 @given(raw=cells, jobs=jobs)
 def test_task_order_lanes_visit_each_context_in_one_run(raw, jobs):
     pending = pending_from(raw)
-    ordered = SweepRunner(jobs=jobs)._task_order(pending)
+    ordered = task_order(pending, jobs)
     lanes = min(jobs, len(pending))
     for lane in range(lanes):
         runs = [context_of(s) for s in ordered[lane::lanes]]
@@ -104,5 +104,5 @@ def test_task_order_head_touches_distinct_contexts(raw, jobs):
     pending = pending_from(raw)
     lanes = min(jobs, len(pending))
     assume(max(len(shard) for shard in shard_cells(pending)) <= len(pending) // lanes)
-    head = SweepRunner(jobs=jobs)._task_order(pending)[:lanes]
+    head = task_order(pending, jobs)[:lanes]
     assert len({context_of(s) for s in head}) == lanes

@@ -22,6 +22,7 @@ from repro.sweep.runner import (
     run_scenario,
     shard_cells,
     summarize_run,
+    task_order,
 )
 from repro.sweep.scenario import Scenario, ScenarioGrid
 
@@ -248,6 +249,43 @@ class TestIncrementalPersistence:
         assert seen == [True, True]
 
 
+class TestFsyncPolicy:
+    """One ``fsync`` setting on the result cache governs every process
+    of a pool sweep, as ``repro sweep --no-fsync --jobs N`` promises."""
+
+    def test_no_fsync_cache_makes_no_fsync_in_any_process(
+        self, tmp_path, monkeypatch
+    ):
+        log = tmp_path / "fsyncs.log"
+        real = os.fsync
+
+        def logged(fd):
+            # A file, not a list: forked pool workers append to it too.
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            real(fd)
+
+        def fsyncs() -> list[str]:
+            return log.read_text(encoding="utf-8").split() if log.exists() else []
+
+        # Installed before the pool forks, so every worker inherits it.
+        monkeypatch.setattr(os, "fsync", logged)
+        grid = ScenarioGrid.from_axes(
+            approach="single_spot", workload="LiR", instance=["r4.large", "r4.xlarge"]
+        )
+        # Control: a durable cache's stores are fsynced by the workers,
+        # so the log does see other processes' calls.
+        SweepRunner(jobs=2, cache=SweepCache(tmp_path / "durable")).run(grid)
+        assert set(fsyncs()) - {str(os.getpid())}
+        log.unlink()
+
+        result = SweepRunner(
+            jobs=2, cache=SweepCache(tmp_path / "throwaway", fsync=False)
+        ).run(grid)
+        assert result.executed_count == 2
+        assert fsyncs() == []
+
+
 class TestFailureIsolation:
     """A failing cell reports its error without aborting siblings."""
 
@@ -358,14 +396,14 @@ class TestStreamingOrderIndependence:
     def shuffled_queue(self, monkeypatch):
         import random
 
-        real = SweepRunner._task_order
+        real = runner_mod.task_order
 
-        def shuffled(self, pending):
-            ordered = real(self, pending)
+        def shuffled(pending, jobs):
+            ordered = real(pending, jobs)
             random.Random(0xC0FFEE).shuffle(ordered)
             return ordered
 
-        monkeypatch.setattr(SweepRunner, "_task_order", shuffled)
+        monkeypatch.setattr(runner_mod, "task_order", shuffled)
 
     def test_serial_streaming_and_partial_resume_byte_identical(
         self, context, tmp_path, shuffled_queue
@@ -408,7 +446,7 @@ class TestTaskOrder:
         grid = ScenarioGrid.from_axes(
             workload="LiR", theta=[0.7, 1.0], predictor="oracle", seed=[0, 1]
         )
-        ordered = SweepRunner(jobs=2)._task_order(list(grid))
+        ordered = task_order(list(grid), 2)
         # The first `jobs` tasks touch distinct contexts, so workers
         # build different (seed, scale) datasets concurrently.
         assert {s.seed for s in ordered[:2]} == {0, 1}
@@ -424,8 +462,7 @@ class TestTaskOrder:
             seed=[0, 1],
         )
         pending = list(grid)
-        runner = SweepRunner(jobs=2)
-        ordered = runner._task_order(pending)
+        ordered = task_order(pending, 2)
         for shard in shard_cells(pending):
             positions = [ordered.index(s) for s in shard]
             assert positions == sorted(positions)
