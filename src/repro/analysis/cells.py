@@ -6,9 +6,10 @@ need to drive the *same* cell through both the live (batched)
 scalar :class:`~repro.core.reference.ReferenceOrchestrator`, with an
 arbitrary predictor object (usually an untrained bank — see
 :func:`repro.revpred.trainer.untrained_predictor_bank`).
-:meth:`ExperimentContext.spottune_run` only accepts predictor *kinds*,
-so this helper mirrors its construction exactly while leaving the
-orchestrator class and predictor pluggable.
+:meth:`ExperimentContext.spottune_run` only accepts predictor *kinds*
+and builds its orchestrator through :func:`make_orchestrator` too, so
+there is one construction with the orchestrator class and predictor
+pluggable.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def make_orchestrator(
     refund_enabled: bool = True,
     mcnt: int = 3,
 ):
-    """The orchestrator of one cell, built as
-    ``ExperimentContext.spottune_run`` builds it, field for field."""
+    """The orchestrator of one cell; ``ExperimentContext.spottune_run``
+    builds through here too."""
     workload = get_workload(workload_name)
     orchestrator = orchestrator_cls(
         workload,

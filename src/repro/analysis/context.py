@@ -274,11 +274,7 @@ class ExperimentContext:
     ):
         """Memoised SpotTune run for one (workload, theta, predictor,
         checkpoint policy, ablation knobs, mcnt) cell."""
-        from repro.core.checkpoint_policy import policy_from_spec
-        from repro.core.config import SpotTuneConfig
-        from repro.core.orchestrator import SpotTuneOrchestrator
-        from repro.workloads.catalog import get_workload
-
+        from repro.analysis.cells import make_orchestrator
         from repro.revpred.predictor import ConstantPredictor, OraclePredictor
 
         # 6 decimals matches Scenario's theta normalisation — distinct
@@ -304,23 +300,16 @@ class ExperimentContext:
                 predictor = ConstantPredictor(0.0)
             else:
                 raise ValueError(f"unknown predictor kind: {predictor_kind!r}")
-            workload = get_workload(workload_name)
-            orchestrator = SpotTuneOrchestrator(
-                workload,
-                self.trials(workload_name),
-                self.dataset,
+            orchestrator = make_orchestrator(
+                self,
+                workload_name,
+                theta,
                 predictor,
-                SpotTuneConfig(
-                    theta=theta,
-                    seed=self.seed,
-                    reschedule_after=reschedule_after,
-                    mcnt=mcnt,
-                ),
-                speed_model=self.speed_model,
-                start_time=self.replay_start,
-                checkpoint_policy=policy_from_spec(checkpoint_policy, predictor=predictor),
+                checkpoint_policy=checkpoint_policy,
+                reschedule_after=reschedule_after,
+                refund_enabled=refund_enabled,
+                mcnt=mcnt,
             )
-            orchestrator.provider.billing.refund_enabled = refund_enabled
             self._run_cache[key] = orchestrator.run()
         return self._run_cache[key]
 

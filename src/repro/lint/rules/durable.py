@@ -1,21 +1,26 @@
-"""``durable-publish``: shared-mount writes go through the atomic helper.
+"""``durable-publish``: shared-mount writes go through the atomic helpers.
 
 Everything under the cache root — cell summaries, the task queue,
-bank artifacts — is read concurrently by other processes and other
-machines, so a publish must be (a) atomic (write a private temp, then
-one ``os.replace``) and (b) durable (fsync the file, then the parent
-directory) before it counts as written.  PR 6 retrofitted exactly this
-onto writes that had shipped bare, and PR 7's clock-skew fixes leaned
-on the same guarantees; this rule keeps the next transport backend
-from regressing them.
+bank artifacts, market snapshots — is read concurrently by other
+processes and other machines, so a publish must be (a) atomic (write a
+private temp, then one rename) and (b) durable (fsync the file, then
+the parent directory) before it counts as written.  PR 6 retrofitted
+exactly this onto writes that had shipped bare, and PR 7's clock-skew
+fixes leaned on the same guarantees; this rule keeps the next
+transport backend from regressing them.
 
-In ``sweep/cache.py``, ``sweep/banks.py`` and ``sweep/distrib/*`` any
-direct write — ``open(..., "w"/"wb"/append)``, ``json.dump``,
+The protocol lives once, in :mod:`repro.sweep.cache`:
+:func:`atomic_publish` for a file, :func:`atomic_publish_dir` for a
+directory artifact (its ``fill`` callback writes the files into the
+private temp directory).  In ``sweep/cache.py``, ``sweep/banks.py``,
+``market/snapshot.py``, ``sweep/distrib/*``, ``serve/*`` and ``obs/*``
+any direct write — ``open(..., "w"/"wb"/append)``, ``json.dump``,
 ``Path.write_text``/``write_bytes`` — is a finding unless it sits
-inside the sanctioned helper itself (:func:`fsync_write_text`, whose
-body is necessarily a bare ``open``).  Writes that are *legitimately*
-non-durable (an empty lock file, a clock probe, pre-publish private
-state) carry an in-line suppression stating why.
+inside :func:`fsync_write_text`, the one function whose body is
+necessarily a bare ``open`` (both helpers write through it).  Writes
+that are *legitimately* non-durable (an empty lock file, a clock
+probe, pre-publish private state) carry an in-line suppression stating
+why.
 """
 
 from __future__ import annotations
@@ -36,8 +41,14 @@ from repro.lint.registry import Rule, register
 #: is read by restarted servers and concurrent tenants.  ``obs/`` is
 #: in: worker metric snapshots publish into the queue directory and
 #: are read by the coordinator and ``repro top`` mid-crash.
+#: ``market/snapshot.py`` is in: every worker memory-maps the market
+#: snapshots it publishes under the cache root.
 SCOPES = ("src/repro/sweep/distrib/", "src/repro/serve/", "src/repro/obs/")
-SCOPE_FILES = ("src/repro/sweep/cache.py", "src/repro/sweep/banks.py")
+SCOPE_FILES = (
+    "src/repro/sweep/cache.py",
+    "src/repro/sweep/banks.py",
+    "src/repro/market/snapshot.py",
+)
 
 #: Functions that *are* the atomic-publish machinery; their bodies are
 #: the one sanctioned place a bare write may live.
@@ -47,8 +58,8 @@ _WRITE_MODES = set("wax+")
 _WRITE_METHODS = {"write_text", "write_bytes"}
 
 _REMEDY = (
-    "publish via the atomic helper (fsync_write_text to a .tmp name, "
-    "os.replace, fsync_dir) so a crash can never surface a "
+    "publish via repro.sweep.cache.atomic_publish (a file) or "
+    "atomic_publish_dir (a directory) so a crash can never surface a "
     "published-but-empty file on the shared mount"
 )
 

@@ -21,16 +21,17 @@ Layout (one directory per dataset)::
     <dir>/<market>.times.npy   # record timestamps, float64
     <dir>/<market>.prices.npy  # record prices, float64
 
-Snapshots are written atomically (assemble under a process-unique temp
-name, then rename), so concurrent writers on a shared mount are safe:
-whoever wins the rename provides the (identical) artifact.
+Snapshots are published through
+:func:`repro.sweep.cache.atomic_publish_dir` (assemble under a
+process-unique temp name, then rename), so concurrent writers on a
+shared mount are safe: whoever wins the rename provides the
+(identical) artifact.  They are not fsynced: a snapshot lost to a host
+crash reads as absent and is regenerated.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,9 @@ def save_market_snapshot(dataset: SpotPriceDataset, directory: str | Path) -> Pa
     dataset, so the occupant is identical); a partial or foreign
     occupant is replaced.
     """
+    # Deferred: the sweep package sits above the market package.
+    from repro.sweep.cache import atomic_publish_dir, canonical_json, fsync_write_text
+
     directory = Path(directory)
     if load_market_snapshot(directory, mmap=False) is not None:
         return directory
@@ -60,30 +64,20 @@ def save_market_snapshot(dataset: SpotPriceDataset, directory: str | Path) -> Pa
             for name in dataset.instance_types
         ],
     }
-    tmp = directory.with_name(f"{directory.name}.tmp{os.getpid()}")
-    try:
-        tmp.mkdir(parents=True, exist_ok=True)
+
+    def fill(tmp: Path) -> None:
         for name in dataset.instance_types:
             trace = dataset.traces[name]
             np.save(tmp / f"{name}.times.npy", np.asarray(trace.times, dtype=float))
             np.save(tmp / f"{name}.prices.npy", np.asarray(trace.prices, dtype=float))
-        (tmp / "meta.json").write_text(
-            json.dumps(meta, sort_keys=True, separators=(",", ":"))
-        )
-        try:
-            os.rename(tmp, directory)
-        except OSError:
-            # Slot occupied.  A concurrent writer's complete snapshot
-            # is identical — keep it; anything broken is replaced.
-            if load_market_snapshot(directory, mmap=False) is not None:
-                shutil.rmtree(tmp, ignore_errors=True)
-            else:
-                shutil.rmtree(directory, ignore_errors=True)
-                os.rename(tmp, directory)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return directory
+        fsync_write_text(tmp / "meta.json", canonical_json(meta), fsync=False)
+
+    return atomic_publish_dir(
+        directory,
+        fill,
+        intact=lambda occupant: load_market_snapshot(occupant, mmap=False) is not None,
+        fsync=False,
+    )
 
 
 def load_market_snapshot(

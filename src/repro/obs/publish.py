@@ -2,10 +2,11 @@
 
 The shared filesystem stays the fleet's only "network": each worker
 periodically publishes its registry snapshot to
-``<queue>/metrics/<worker>.json`` through the same fsynced
-atomic-publish discipline the queue itself uses (temp file →
-fsync → ``os.replace`` → directory fsync), so a reader never sees a
-torn snapshot and a host crash never surfaces an empty one.
+``<queue>/metrics/<worker>.json`` through
+:func:`repro.sweep.cache.atomic_publish`, the helper the queue itself
+publishes through (temp file → fsync → ``os.replace`` → directory
+fsync, temp removed on failure), so a reader never sees a torn
+snapshot and a host crash never surfaces an empty one.
 
 Consumers:
 
@@ -85,18 +86,14 @@ def publish_snapshot(
     fsync: bool = True,
 ) -> Path:
     """Atomically (and durably) publish one worker's snapshot."""
-    from repro.sweep.cache import fsync_dir, fsync_write_text
+    from repro.sweep.cache import atomic_publish
 
     directory = metrics_dir(queue_root)
     directory.mkdir(parents=True, exist_ok=True)
     name = _SAFE_NAME.sub("_", str(worker_id)) or "worker"
     final = directory / f"{name}.json"
-    tmp = directory / f"{name}.tmp{os.getpid()}"
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    fsync_write_text(tmp, text, fsync=fsync)
-    os.replace(tmp, final)
-    if fsync:
-        fsync_dir(directory)
+    atomic_publish(final, text, fsync=fsync)
     return final
 
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import re
 import shutil
 import threading
@@ -36,9 +35,9 @@ from typing import Optional, Union
 from repro.obs import publish as obs_publish
 from repro.sweep.cache import (
     SweepCache,
+    atomic_publish,
     canonical_json,
     fsync_dir,
-    fsync_write_text,
     sweep_out_text,
 )
 from repro.sweep.distrib import (
@@ -175,20 +174,10 @@ class JobRegistry:
         return self.job_dir(job_id) / "queue"
 
     # -- durable record I/O ---------------------------------------------
-    def _publish(self, path: Path, text: str) -> None:
-        """Atomic durable publish: private temp, fsync, one rename."""
-        tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-        try:
-            fsync_write_text(tmp, text, fsync=self.fsync)
-            os.replace(tmp, path)
-            if self.fsync:
-                fsync_dir(path.parent)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
-
     def _write_record(self, record: dict) -> None:
-        self._publish(self._job_path(record["id"]), canonical_json(record))
+        atomic_publish(
+            self._job_path(record["id"]), canonical_json(record), fsync=self.fsync
+        )
 
     def _load_record(self, job_id: str) -> Optional[dict]:
         try:
@@ -339,8 +328,10 @@ class JobRegistry:
                 telemetry=self._job_telemetry(job_id),
             )
             return
-        self._publish(
-            self.result_path(job_id), sweep_out_text(result.summaries())
+        atomic_publish(
+            self.result_path(job_id),
+            sweep_out_text(result.summaries()),
+            fsync=self.fsync,
         )
         self._finish(
             job_id, "done", telemetry=self._job_telemetry(job_id)
@@ -432,8 +423,10 @@ class JobRegistry:
             "bank_trainings": int(cell.bank_trainings),
             "summary": cell.summary,
         }
-        self._publish(
-            self._events_dir(job_id) / f"{seq:06d}.json", canonical_json(payload)
+        atomic_publish(
+            self._events_dir(job_id) / f"{seq:06d}.json",
+            canonical_json(payload),
+            fsync=self.fsync,
         )
 
     def events_page(
@@ -592,8 +585,10 @@ class JobRegistry:
             "completed": len(events),
             "total": record["total"],
         }
-        self._publish(
-            self.job_dir(job_id) / "cancel.json", canonical_json(ledger)
+        atomic_publish(
+            self.job_dir(job_id) / "cancel.json",
+            canonical_json(ledger),
+            fsync=self.fsync,
         )
         # Retiring the queue is the graceful drain: attached workers
         # observe the manifest gone and exit after their current cell.

@@ -8,7 +8,7 @@ that wants one row per grid cell.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sweep.runner import CellResult
 from repro.sweep.scenario import MCNT_DEFAULT, RESCHEDULE_AFTER_DEFAULT
@@ -62,10 +62,3 @@ def cells_table(cells: Iterable[CellResult]) -> list[list[str]]:
             row.append(fmt.format(cell.summary[key]))
         rows.append(row)
     return rows
-
-
-def mean_of(cells: Sequence[CellResult], key: str) -> float:
-    """Unweighted mean of one numeric summary field across cells."""
-    if not cells:
-        raise ValueError("no cells to aggregate")
-    return sum(cell.summary[key] for cell in cells) / len(cells)

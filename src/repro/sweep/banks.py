@@ -30,8 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import shutil
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -43,11 +41,10 @@ from repro.nn.serialize import load_weights, save_weights
 from repro.revpred.calibration import OddsCorrection
 from repro.revpred.predictor import MarketPredictor, PredictorBank
 from repro.sweep.cache import (
+    atomic_publish_dir,
     canonical_json,
-    fsync_dir,
-    fsync_file,
     fsync_write_text,
-    mount_now,
+    sweep_stale_temps,
 )
 
 #: Bump when the bank artifact layout or reconstruction logic changes;
@@ -114,21 +111,7 @@ class BankCache:
         self.fsync = fsync
         self.root.mkdir(parents=True, exist_ok=True)
         if sweep_stale:
-            self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp artifact directories orphaned by writers killed
-        between assembly and rename.  Age-gated against the *mount's*
-        clock (:func:`repro.sweep.cache.mount_now`) so a concurrent
-        store's in-flight temp — possibly written by a host whose
-        clock trails this one's — is never pulled out from under it."""
-        cutoff = mount_now(self.root) - _STALE_TMP_SECONDS
-        for tmp in self.root.glob("*.tmp*"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    shutil.rmtree(tmp, ignore_errors=True)
-            except OSError:
-                continue  # already gone, or not ours to remove
+            sweep_stale_temps(self.root, "*.tmp*", _STALE_TMP_SECONDS)
 
     def path_for(self, spec: Mapping[str, Any]) -> Path:
         return self.root / bank_fingerprint(spec)
@@ -225,8 +208,8 @@ class BankCache:
 
         ``model_seeds`` records, per market, the seed the model factory
         must be called with at load time to rebuild the architecture
-        the weights belong to.  The artifact directory is assembled
-        under a process-unique temp name and renamed into place; when a
+        the weights belong to.  The artifact directory is published
+        through :func:`repro.sweep.cache.atomic_publish_dir`: when a
         concurrent writer wins the rename race its (identical) artifact
         is kept and ours discarded, but a *broken* occupant of the slot
         (corrupt meta, missing weights — anything ``load`` would read
@@ -249,45 +232,17 @@ class BankCache:
                 for name, predictor in bank.predictors.items()
             },
         }
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            with obs.timer("repro_bank_store_seconds"):
-                return self._store_at(path, tmp, bank, meta)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
 
-    def _store_at(self, path: Path, tmp: Path, bank, meta: dict) -> Path:
-        tmp.mkdir(parents=True, exist_ok=True)
-        for name, predictor in bank.predictors.items():
-            save_weights(predictor.model, tmp / f"{name}.npz")
-            if self.fsync:
-                fsync_file(tmp / f"{name}.npz")
-        # The meta/weights publish order matters for durability:
-        # meta lands last and fsync'd, so a crash mid-assembly can
-        # only leave weights without meta (``load`` reads that as a
-        # miss), never a meta naming weights that were lost.
-        fsync_write_text(
-            tmp / "meta.json", canonical_json(meta), fsync=self.fsync
-        )
-        if self.fsync:
-            fsync_dir(tmp)
-        try:
-            os.rename(tmp, path)
-            if self.fsync:
-                fsync_dir(self.root)
-        except OSError:
-            # The slot is occupied (rename onto a non-empty
-            # directory fails).  Keep a concurrent writer's intact
-            # artifact; evict and replace anything broken.
-            if self._artifact_intact(path):
-                shutil.rmtree(tmp, ignore_errors=True)
-            else:
-                shutil.rmtree(path, ignore_errors=True)
-                os.rename(tmp, path)
-                if self.fsync:
-                    fsync_dir(self.root)
-        return path
+        def fill(tmp: Path) -> None:
+            for name, predictor in bank.predictors.items():
+                save_weights(predictor.model, tmp / f"{name}.npz")
+            # The helper syncs every file before the rename.
+            fsync_write_text(tmp / "meta.json", canonical_json(meta), fsync=False)
+
+        with obs.timer("repro_bank_store_seconds"):
+            return atomic_publish_dir(
+                path, fill, intact=self._artifact_intact, fsync=self.fsync
+            )
 
     @staticmethod
     def _artifact_intact(path: Path) -> bool:

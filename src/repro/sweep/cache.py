@@ -6,6 +6,14 @@ produces byte-identical files — the determinism regression tests
 compare these bytes directly, and ``--resume`` loads them instead of
 re-simulating.
 
+This module also holds the one atomic-publish path for everything
+under the cache root: :func:`atomic_publish` for a file,
+:func:`atomic_publish_dir` for a directory artifact, and
+:func:`sweep_stale_temps` for the temps a killed writer leaves behind.
+Cell summaries, queue files, serve job records, worker metric
+snapshots, predictor banks and market snapshots all publish through
+them.
+
 The cache root also co-locates the predictor-bank cache (schema v3):
 the :data:`BANKS_SUBDIR` subdirectory holds one
 :class:`repro.sweep.banks.BankCache` artifact per trained bank, so a
@@ -19,9 +27,10 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import time
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro import obs
 from repro.sweep.scenario import SCHEMA_VERSION, Scenario
@@ -148,6 +157,96 @@ def fsync_dir(directory: Path) -> None:
         os.close(fd)
 
 
+def _temp_for(path: Path) -> Path:
+    # Pid-unique, so concurrent writers (pool workers, fleet hosts on
+    # a shared mount) each assemble privately until the rename.
+    return path.with_name(f"{path.name}.tmp{os.getpid()}")
+
+
+def atomic_publish(path: Path, text: str, *, fsync: bool) -> None:
+    """Publish ``text`` at ``path`` so a reader sees all of it or none.
+
+    Writes a pid-unique temp beside ``path``, renames it over ``path``
+    and, with ``fsync``, syncs the file before the rename and the
+    parent directory after it.  A failed publish removes its temp.
+    """
+    tmp = _temp_for(path)
+    try:
+        fsync_write_text(tmp, text, fsync=fsync)
+        os.replace(tmp, path)
+        if fsync:
+            fsync_dir(path.parent)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_publish_dir(
+    path: Path,
+    fill: Callable[[Path], None],
+    *,
+    intact: Callable[[Path], bool],
+    fsync: bool,
+) -> Path:
+    """Publish a directory artifact at ``path`` in one rename.
+
+    ``fill(tmp)`` writes the artifact's files into a pid-unique temp
+    directory; with ``fsync`` those files and the directory are synced
+    before the rename and the parent after it.  Artifacts are pure
+    functions of their key, so when the slot is already taken an
+    occupant that ``intact`` accepts is kept and ours discarded; a
+    broken one is replaced, or it would defeat its key forever.  A
+    failed publish removes its temp.
+    """
+    tmp = _temp_for(path)
+    try:
+        tmp.mkdir(parents=True, exist_ok=True)
+        fill(tmp)
+        if fsync:
+            for child in sorted(tmp.iterdir()):
+                fsync_file(child)
+            fsync_dir(tmp)
+        try:
+            os.rename(tmp, path)
+        except OSError:
+            # Renaming onto a non-empty directory fails: the slot is
+            # occupied.
+            if intact(path):
+                shutil.rmtree(tmp, ignore_errors=True)
+                return path
+            shutil.rmtree(path, ignore_errors=True)
+            os.rename(tmp, path)
+        if fsync:
+            fsync_dir(path.parent)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+    return path
+
+
+def sweep_stale_temps(directory: Path, pattern: str, max_age: float) -> None:
+    """Remove the temps matching ``pattern`` (a glob relative to
+    ``directory``) that are older than ``max_age`` seconds.
+
+    A live writer holds its temp briefly, so an old one is an orphan of
+    a writer killed before its rename.  Ages are measured against the
+    mount's clock (:func:`mount_now`, probed in ``directory``), so a
+    concurrent writer's temp is never pulled out from under it, even
+    when this host's wall clock runs ahead of the filesystem's.
+    """
+    cutoff = mount_now(directory) - max_age
+    for tmp in directory.glob(pattern):
+        try:
+            if tmp.stat().st_mtime >= cutoff:
+                continue
+            if tmp.is_dir():
+                shutil.rmtree(tmp, ignore_errors=True)
+            else:
+                tmp.unlink()
+        except OSError:
+            continue  # already gone, or not ours to remove
+
+
 class SweepCache:
     """Fingerprint-keyed store of cell summaries under one directory."""
 
@@ -168,21 +267,7 @@ class SweepCache:
         self.faults = faults
         self.root.mkdir(parents=True, exist_ok=True)
         if sweep_stale:
-            self._sweep_stale_tmp()
-
-    def _sweep_stale_tmp(self) -> None:
-        """Remove temp files orphaned by writers that were killed
-        between write and rename.  Age-gated against the *mount's*
-        clock (:func:`mount_now`) so a concurrent sweep's in-flight
-        temp file is never pulled out from under it, even when this
-        host's wall clock runs ahead of the filesystem's."""
-        cutoff = mount_now(self.root) - _STALE_TMP_SECONDS
-        for tmp in self.root.glob("*.json.tmp*"):
-            try:
-                if tmp.stat().st_mtime < cutoff:
-                    tmp.unlink()
-            except OSError:
-                continue  # already gone, or not ours to remove
+            sweep_stale_temps(self.root, "*.json.tmp*", _STALE_TMP_SECONDS)
 
     @property
     def banks_root(self) -> Path:
@@ -193,11 +278,6 @@ class SweepCache:
     def queue_root(self) -> Path:
         """Where the co-located distributed task queue lives."""
         return self.root / QUEUE_SUBDIR
-
-    @property
-    def markets_root(self) -> Path:
-        """Where the co-located per-seed market snapshots live."""
-        return self.root / MARKETS_SUBDIR
 
     @property
     def serve_root(self) -> Path:
@@ -252,19 +332,8 @@ class SweepCache:
             # worst moment: the cell simulated fine, the summary can't
             # land.  The worker's retry budget must absorb it.
             faults_mod.perform(self.faults, "cache.store", scenario.fingerprint())
-        # Worker processes (and concurrent sweeps sharing one cache
-        # directory) may store simultaneously; a per-process temp name
-        # keeps every write-then-rename private until the atomic swap.
-        tmp = path.with_suffix(f".json.tmp{os.getpid()}")
-        try:
-            with obs.timer("repro_cache_store_seconds"):
-                fsync_write_text(tmp, canonical_json(payload), fsync=self.fsync)
-                os.replace(tmp, path)
-                if self.fsync:
-                    fsync_dir(path.parent)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with obs.timer("repro_cache_store_seconds"):
+            atomic_publish(path, canonical_json(payload), fsync=self.fsync)
         return path
 
     def __len__(self) -> int:

@@ -599,17 +599,23 @@ class DistributedSweepRunner:
         self._supervisor = supervisor
         try:
             supervisor.start()
-            self._tail(
+            # Mutates ``outstanding`` in place, so what remained after
+            # a stop can be reported below.
+            tail_done_records(
                 queue,
+                self.cache,
                 by_name,
                 rank,
                 outstanding,
                 emit,
                 failures,
                 failure_details,
-                timeout,
-                supervisor,
-                stop,
+                poll_interval=self.poll_interval,
+                fail_fast=self.fail_fast,
+                timeout=timeout,
+                supervisor=supervisor,
+                completion_records=self.completion_records,
+                stop=stop,
             )
         finally:
             supervisor.shutdown()
@@ -649,41 +655,3 @@ class DistributedSweepRunner:
         # manifest vanish and exit.
         shutil.rmtree(queue.root, ignore_errors=True)
         return SweepResult(done[s.fingerprint()] for s in scenarios)
-
-    # ------------------------------------------------------------------
-    def _tail(
-        self,
-        queue,
-        by_name,
-        rank,
-        outstanding,
-        emit,
-        failures,
-        failure_details,
-        timeout,
-        supervisor=None,
-        stop=None,
-    ) -> None:
-        """Stream done records into ``emit`` until the queue drains.
-
-        Thin instance wrapper over :func:`tail_done_records` (the
-        shared implementation also driving ``repro serve`` jobs);
-        mutates ``outstanding`` in place so :meth:`run` can report
-        what remained after a stop.
-        """
-        tail_done_records(
-            queue,
-            self.cache,
-            by_name,
-            rank,
-            outstanding,
-            emit,
-            failures,
-            failure_details,
-            poll_interval=self.poll_interval,
-            fail_fast=self.fail_fast,
-            timeout=timeout,
-            supervisor=supervisor,
-            completion_records=self.completion_records,
-            stop=stop,
-        )

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from repro import obs
-from repro.sweep.cache import fsync_dir, fsync_write_text
+from repro.sweep.cache import atomic_publish, sweep_stale_temps
 from repro.sweep.distrib import faults as faults_mod
 from repro.sweep.distrib.faults import FaultPlan
 from repro.sweep.distrib.lease import Lease
@@ -713,49 +713,28 @@ class TaskQueue:
     # Hygiene
     # ------------------------------------------------------------------
     def sweep_stale(self) -> None:
-        """GC orphaned write-temps (killed writers) past the lease TTL.
+        """GC orphaned write-temps (killed writers) past the lease TTL,
+        aged by the mount's clock.
 
         Claim-temps are *not* swept here — they are requeued with their
         task identity intact by :meth:`reclaim_expired`.
         """
-        cutoff = time.time() - max(self.lease_ttl, DEFAULT_LEASE_TTL)
-        for directory in (self.tasks_dir, self.done_dir, self.root):
-            try:
-                entries = list(os.scandir(directory))
-            except FileNotFoundError:
-                continue
-            for entry in entries:
-                if ".tmp" not in entry.name or not entry.is_file():
-                    continue
-                try:
-                    if entry.stat().st_mtime < cutoff:
-                        os.unlink(entry.path)
-                except OSError:
-                    continue
+        max_age = max(self.lease_ttl, DEFAULT_LEASE_TTL)
+        # Globs relative to the root keep the clock probe there: in
+        # tasks/ or done/ a scan could read it as a cell.
+        for pattern in ("*.tmp*", "tasks/*.tmp*", "done/*.tmp*"):
+            sweep_stale_temps(self.root, pattern, max_age)
 
     def _write_atomic(self, path: Path, payload: dict) -> None:
-        """Write-temp → (fsync) → rename → (fsync dir).
-
-        The rename alone orders the *visibility* of the file but not
-        its *durability*: without the fsyncs a host crash can leave a
-        published name whose bytes never hit the platter — a
-        published-but-empty task or record.  ``self.fsync=False`` opts
-        out for throwaway queues (tests, tmpfs).
-        """
+        """Serialise ``payload`` and publish it at ``path`` through
+        :func:`~repro.sweep.cache.atomic_publish`: durable unless
+        ``self.fsync`` is off (throwaway queues: tests, tmpfs)."""
         text = json.dumps(payload, sort_keys=True)
         if path.parent == self.tasks_dir:
             site_action = faults_mod.perform(self.faults, "queue.task.write", path.name)
             if site_action == "corrupt":
                 text = faults_mod.corrupt_bytes(text)
-        tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
-        try:
-            fsync_write_text(tmp, text, fsync=self.fsync)
-            os.replace(tmp, path)
-            if self.fsync:
-                fsync_dir(path.parent)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        atomic_publish(path, text, fsync=self.fsync)
 
     # ------------------------------------------------------------------
     def scenarios_by_name(self, ordered: Iterable[Scenario]) -> dict[str, Scenario]:

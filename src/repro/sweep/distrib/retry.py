@@ -22,7 +22,6 @@ Failure policy for the distributed sweep, in one place:
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from typing import Optional
 
@@ -107,11 +106,3 @@ def build_ledger_entry(
         "traceback": traceback_text,
         "attempts": attempts,
     }
-
-
-def read_ledger(failures_dir, name: str) -> Optional[dict]:
-    """The ledger entry for ``name``, or ``None`` (absent/corrupt)."""
-    try:
-        return json.loads((failures_dir / name).read_text())
-    except (OSError, json.JSONDecodeError, TypeError):
-        return None

@@ -9,9 +9,9 @@ the full cross-host skew.  These tests pin the two fixes:
 * retry backoff is a *relative* ``defer_for`` anchored to the task
   file's own mtime, so the re-queueing host's wall clock never decides
   when another host may claim;
-* stale-tmp GC in ``SweepCache``/``BankCache`` measures tmp ages
-  against the mount's clock (a probe write), so a fast local clock can
-  never reap a live writer's in-flight temp file.
+* stale-tmp GC in ``SweepCache``/``BankCache``/``TaskQueue`` measures
+  tmp ages against the mount's clock (a probe write), so a fast local
+  clock can never reap a live writer's in-flight temp file.
 """
 
 import json
@@ -164,3 +164,28 @@ class TestStaleTmpMountClock:
         os.utime(tmp_dir, (old, old))
         BankCache(root)
         assert not tmp_dir.exists()
+
+    def test_fast_local_clock_cannot_reap_live_queue_tmp(self, tmp_path, monkeypatch):
+        # A coordinator restart re-creates the queue, which sweeps its
+        # stale temps, while a worker on another host is mid-publish
+        # of a done record.
+        queue = make_queue(tmp_path)
+        name = queue.pending_names()[0]
+        live = queue.done_dir / f"{name}.tmp999"
+        live.write_text("{}")
+        orphan = queue.done_dir / f"{name}.tmp998"
+        orphan.write_text("{}")
+        old = time.time() - 7200.0
+        os.utime(orphan, (old, old))
+        skew_clock(monkeypatch, "repro.sweep.distrib.queue", 7200.0)
+        skew_clock(monkeypatch, "repro.sweep.cache", 7200.0)
+        TaskQueue.create(
+            queue.root,
+            one_cell(),
+            cache_path="..",
+            backoff_base=0.01,
+            backoff_cap=0.05,
+            fsync=False,
+        )
+        assert live.exists()
+        assert not orphan.exists()

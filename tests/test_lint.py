@@ -123,6 +123,20 @@ class TestRuleFixtures:
         assert "json.dump" in messages
         assert "write_text" in messages
 
+    def test_durable_covers_market_snapshots(self, tmp_path):
+        # Market snapshots live under the cache root too, so a bare
+        # write there is a finding like one in sweep/.
+        module = tmp_path / "src/repro/market/snapshot.py"
+        module.parent.mkdir(parents=True)
+        module.write_text(
+            "def save(directory, text):\n"
+            "    (directory / 'meta.json').write_text(text)\n"
+        )
+        findings = lint_rules(tmp_path, "durable-publish")
+        assert len(findings) == 1
+        assert findings[0].path == "src/repro/market/snapshot.py"
+        assert "write_text" in findings[0].message
+
     def test_deadline_points_at_the_sum(self):
         findings = lint_rules(FIXTURES / "deadline" / "bad", "no-absolute-deadline")
         assert len(findings) == 1
