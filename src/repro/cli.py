@@ -36,11 +36,10 @@ Commands:
   queue: depth and ledger counts, one row per worker (throughput from
   the metrics snapshots each worker publishes to ``queue/metrics/``),
   and the fleet-wide slowest cells.
-* ``lint [--rule NAME ...] [--format json] [--update-baseline]`` —
-  run the repo's AST-based invariant checker (determinism, durability,
-  byte-identity contracts; see README "Static analysis").  Exits 1 on
-  any finding not in the committed baseline, so CI and pre-commit can
-  gate on it.
+* ``lint [--rule NAME ...] [--format json]`` — run the repo's
+  AST-based invariant checker (determinism, durability, byte-identity
+  contracts; see README "Static analysis").  Exits 1 on any finding,
+  so CI and pre-commit can gate on it.
 """
 
 from __future__ import annotations
@@ -90,34 +89,12 @@ def _run_figures(args: argparse.Namespace) -> int:
 
 
 def _run_tune(args: argparse.Namespace) -> int:
-    from repro.core.baselines import run_single_spot
-    from repro.core.config import SpotTuneConfig
-    from repro.core.orchestrator import SpotTuneOrchestrator
-    from repro.revpred.predictor import OraclePredictor
-    from repro.workloads.catalog import get_workload
-    from repro.workloads.trial import make_trials
+    from repro.core.baselines import CHEAPEST_INSTANCE
 
     context = build_context(seed=args.seed, scale=args.scale)
-    workload = get_workload(args.workload)
-    trials = make_trials(workload, seed=args.seed)
-    if args.predictor == "oracle":
-        predictor = OraclePredictor(context.dataset)
-    else:
-        predictor = context.cached_revpred()
-    orchestrator = SpotTuneOrchestrator(
-        workload,
-        trials,
-        context.dataset,
-        predictor,
-        SpotTuneConfig(theta=args.theta, seed=args.seed),
-        speed_model=context.speed_model,
-        start_time=context.replay_start,
-    )
-    result = orchestrator.run()
-    cheapest = run_single_spot(
-        workload, trials, context.dataset, "r4.large",
-        speed_model=context.speed_model, start_time=context.replay_start,
-    )
+    trials = context.trials(args.workload)
+    result = context.spottune_run(args.workload, args.theta, args.predictor)
+    cheapest = context.baseline_run(args.workload, CHEAPEST_INSTANCE)
     rows = [
         ["cost ($)", f"{result.total_paid:.2f}", f"{cheapest.total_paid:.2f}"],
         ["JCT (h)", f"{result.jct / 3600:.2f}", f"{cheapest.jct / 3600:.2f}"],
@@ -128,7 +105,7 @@ def _run_tune(args: argparse.Namespace) -> int:
     print(format_table(
         ["metric", f"SpotTune(theta={args.theta})", "Single-Spot (Cheapest)"],
         rows,
-        title=f"== {workload.name}: {len(trials)} configurations ==",
+        title=f"== {args.workload}: {len(trials)} configurations ==",
     ))
     print("\nselected top models:")
     for rank, trial_id in enumerate(result.selected, start=1):
@@ -631,7 +608,6 @@ def _run_serve(args: argparse.Namespace) -> int:
 
 def _run_lint(args: argparse.Namespace) -> int:
     from repro.lint import LintError, all_rules, run_lint
-    from repro.lint.baseline import BASELINE_NAME, Baseline
     from repro.lint.rules.frozen import pin_frozen
 
     if args.list_rules:
@@ -647,23 +623,11 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
         print(f"pinned frozen reference hashes: {path}")
         return 0
-    baseline_path = (
-        Path(args.baseline) if args.baseline else root / BASELINE_NAME
-    )
     try:
         findings = run_lint(root, rule_names=args.rule)
-        baseline = Baseline.load(baseline_path)
-    except (LintError, ValueError) as error:
+    except LintError as error:
         print(f"lint failed: {error}", file=sys.stderr)
         return 2
-    if args.update_baseline:
-        Baseline.write(baseline_path, findings)
-        print(
-            f"baseline updated: {baseline_path} ({len(findings)} finding(s); "
-            "fill in each entry's justification, or better, fix it)"
-        )
-        return 0
-    fresh, grandfathered = baseline.partition(findings)
     if args.format == "json":
         print(
             json.dumps(
@@ -671,29 +635,23 @@ def _run_lint(args: argparse.Namespace) -> int:
                     "schema": 1,
                     "root": str(root),
                     "rules": sorted(args.rule) if args.rule else sorted(all_rules()),
-                    "findings": [f.to_dict() for f in fresh],
-                    "baselined": [f.to_dict() for f in grandfathered],
+                    "findings": [f.to_dict() for f in findings],
                 },
                 indent=2,
                 sort_keys=True,
             )
         )
-        return 1 if fresh else 0
-    for finding in fresh:
+        return 1 if findings else 0
+    for finding in findings:
         print(finding.render())
-    if fresh:
+    if findings:
         print(
-            f"\n{len(fresh)} finding(s) "
-            f"({len(grandfathered)} baselined); fix them, suppress with "
-            "`# repro-lint: ignore[rule] <why>`, or grandfather with "
-            "--update-baseline",
+            f"\n{len(findings)} finding(s); fix them, or suppress with "
+            "`# repro-lint: ignore[rule] <why>`",
             file=sys.stderr,
         )
         return 1
-    print(
-        f"lint clean: {len(grandfathered)} baselined finding(s), "
-        f"{len(findings)} total" if grandfathered else "lint clean"
-    )
+    print("lint clean")
     return 0
 
 
@@ -915,14 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="output format (default: %(default)s)",
-    )
-    lint.add_argument(
-        "--baseline", metavar="FILE",
-        help="baseline file (default: <root>/lint-baseline.json)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="grandfather the current findings into the baseline and exit 0",
     )
     lint.add_argument(
         "--pin-frozen", action="store_true",

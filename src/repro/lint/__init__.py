@@ -15,23 +15,19 @@ Public surface:
 
 * :func:`repro.lint.engine.run_lint` — run the rules over a source
   tree and return :class:`~repro.lint.findings.Finding` objects with
-  suppression comments (``# repro-lint: ignore[rule]``) already
-  honoured;
-* :mod:`repro.lint.baseline` — the committed grandfather file that
-  lets a new rule land before every legacy finding is fixed;
+  suppression comments (``# repro-lint: ignore[rule] <why>``) already
+  honoured — a suppression that gives its reason is the one waiver;
 * :mod:`repro.lint.rules` — one module per rule; importing the package
   registers them all.
 
 The CLI front door is ``repro lint`` (see :mod:`repro.cli`).
 """
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintError, LintTree, run_lint
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, register
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintError",
     "LintTree",

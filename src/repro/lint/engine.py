@@ -16,8 +16,7 @@ line directly above it::
 The bracket list names the rules being waived; a bare
 ``# repro-lint: ignore`` waives every rule for that line.  Trailing
 text is the expected place for the justification — suppressions in
-this repo should say *why* the invariant does not apply, the same way
-baseline entries carry a ``justification`` field.
+this repo should say *why* the invariant does not apply.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ class LintTree:
     # ------------------------------------------------------------------
     def py_files(self) -> List[str]:
         """Root-relative POSIX paths of every lintable source file,
-        sorted so runs (and baselines) are deterministic."""
+        sorted so runs are deterministic."""
         base = self.root / SOURCE_PREFIX
         return sorted(
             path.relative_to(self.root).as_posix()

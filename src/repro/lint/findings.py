@@ -1,12 +1,4 @@
-"""The unit of lint output: one rule violation at one source location.
-
-A finding's identity deliberately has two grains.  The *display* form
-carries the line number so an editor can jump to it; the *baseline
-key* drops the line number, because a grandfathered finding must keep
-matching its baseline entry while unrelated edits shift the file
-around it.  Two identical violations in one file share a baseline key
-and are matched by count (see :mod:`repro.lint.baseline`).
-"""
+"""The unit of lint output: one rule violation at one source location."""
 
 from __future__ import annotations
 
@@ -18,7 +10,7 @@ class Finding:
     """One rule violation: where it is and what contract it breaks."""
 
     #: Path relative to the linted root, POSIX separators — stable
-    #: across machines, so baselines and JSON output are portable.
+    #: across machines, so JSON output is portable.
     path: str
     #: 1-based source line of the offending node.
     line: int
@@ -26,11 +18,6 @@ class Finding:
     rule: str
     #: Human-oriented statement of the violation and the fix.
     message: str
-
-    @property
-    def baseline_key(self) -> tuple:
-        """Line-number-free identity used for baseline matching."""
-        return (self.rule, self.path, self.message)
 
     def to_dict(self) -> dict:
         return {

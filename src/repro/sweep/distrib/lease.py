@@ -111,8 +111,7 @@ class Lease:
         clock.  An absolute ``time.time() + delay`` stamp read on
         another machine inherits the full cross-host skew: minutes fast
         and the retry parks far past its backoff, minutes slow and it
-        releases instantly.  ``not_before`` is still written for
-        workers running the previous queue code.
+        releases instantly.
         """
         payload = dict(self.payload)
         payload.pop("owner", None)
@@ -128,8 +127,6 @@ class Lease:
         )
         payload["history"] = history
         payload["defer_for"] = max(0.0, delay)
-        # repro-lint: ignore[no-absolute-deadline] legacy-compat stamp; readers clamp it to mtime + backoff_cap
-        payload["not_before"] = time.time() + max(0.0, delay)
         self.queue._write_atomic(self.queue.tasks_dir / self.name, payload)
         try:
             os.unlink(self.path)

@@ -60,7 +60,7 @@ from repro.sweep.scenario import SCHEMA_VERSION, Scenario
 #: Bump when the queue layout or manifest shape changes; workers refuse
 #: to attach to a queue from another schema rather than guess.
 #: v2: failure policy in the manifest (max_attempts, backoff, fsync),
-#: per-task retry state (not_before, history), failures/ ledger.
+#: per-task retry state (backoff stamp, history), failures/ ledger.
 QUEUE_SCHEMA_VERSION = 2
 
 #: Default lease TTL: a worker that misses heartbeats for this long is
@@ -463,10 +463,7 @@ class TaskQueue:
         comparison.  The anchor clamps to ``now``: a future mtime (a
         skewed mount clock) starts the window *here* rather than
         extending it, so skew in either direction can only shorten the
-        wait, never park the retry past its backoff.  Legacy absolute
-        ``not_before`` stamps (older writers) are honoured but capped
-        at one full backoff cap past the same mtime anchor, bounding
-        the damage a fast writer clock can do.
+        wait, never park the retry past its backoff.
 
         Advisory (the file may be claimed or rewritten mid-read):
         a read failure counts as claimable, and the worst a stale read
@@ -477,11 +474,7 @@ class TaskQueue:
         try:
             payload = json.loads(task.read_text())
             anchor = min(os.stat(task).st_mtime, now)
-            defer_for = payload.get("defer_for")
-            if defer_for is not None:
-                return anchor + float(defer_for) > now
-            not_before = float(payload.get("not_before", 0.0))
-            return min(not_before, anchor + self.backoff_cap) > now
+            return anchor + float(payload.get("defer_for", 0.0)) > now
         except (OSError, ValueError, TypeError, AttributeError):
             return False
 
@@ -722,7 +715,13 @@ class TaskQueue:
         max_age = max(self.lease_ttl, DEFAULT_LEASE_TTL)
         # Globs relative to the root keep the clock probe there: in
         # tasks/ or done/ a scan could read it as a cell.
-        for pattern in ("*.tmp*", "tasks/*.tmp*", "done/*.tmp*"):
+        for pattern in (
+            "*.tmp*",
+            "tasks/*.tmp*",
+            "done/*.tmp*",
+            "failures/*.tmp*",
+            "metrics/*.tmp*",
+        ):
             sweep_stale_temps(self.root, pattern, max_age)
 
     def _write_atomic(self, path: Path, payload: dict) -> None:

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.cells import make_orchestrator, run_cell
@@ -143,6 +143,16 @@ class TestLiveVsReference:
         revocation_heavy=st.booleans(),
         continue_top=st.booleans(),
         reschedule_after=st.sampled_from([1800.0, 3600.0]),
+    )
+    # GBTR at theta 1.0 with the oracle and mcnt 1: no golden pins it.
+    @example(
+        workload="GBTR",
+        theta=1.0,
+        policy="notice",
+        mcnt=1,
+        revocation_heavy=False,
+        continue_top=False,
+        reschedule_after=3600.0,
     )
     @settings(max_examples=8, deadline=None)
     def test_random_cells(

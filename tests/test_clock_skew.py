@@ -71,7 +71,7 @@ class TestRetryBackoffSkew:
             lease.retry("transient", None, delay=0.05)
         payload = json.loads((queue.tasks_dir / lease.name).read_text())
         assert payload["defer_for"] == 0.05
-        assert payload["not_before"] > time.time() + 500  # the old poison
+        assert "not_before" not in payload  # no absolute stamp to poison
         assert queue.claim("w2") is None  # still inside the real backoff
         time.sleep(0.1)
         again = queue.claim("w2")
@@ -87,8 +87,8 @@ class TestRetryBackoffSkew:
             skew_clock(mp, "repro.sweep.distrib.lease", -600.0)
             lease.retry("transient", None, delay=30.0)
         payload = json.loads((queue.tasks_dir / lease.name).read_text())
-        assert payload["not_before"] < time.time()  # old code claims now
-        assert queue.claim("w2") is None  # new code still backs off
+        assert "not_before" not in payload  # no absolute stamp to collapse
+        assert queue.claim("w2") is None  # the relative stamp still backs off
 
     def test_future_task_mtime_cannot_extend_the_backoff(self, tmp_path):
         # A skewed *mount* clock stamping the re-queued task in the
@@ -101,19 +101,6 @@ class TestRetryBackoffSkew:
         os.utime(task, (time.time() + 3600, time.time() + 3600))
         again = queue.claim("w2")
         assert again is not None and again.attempt == 2
-
-    def test_legacy_absolute_stamp_is_capped(self, tmp_path):
-        # Tasks written by older queue code carry only not_before; a
-        # stamp further out than one full backoff cap is clamped so a
-        # fast legacy writer can delay a retry by at most the cap.
-        queue = make_queue(tmp_path)
-        name = queue.pending_names()[0]
-        task = queue.tasks_dir / name
-        payload = json.loads(task.read_text())
-        payload.pop("defer_for", None)
-        payload["not_before"] = time.time() + 600.0
-        task.write_text(json.dumps(payload))
-        assert queue._deferred(name, time.time() + 0.06) is False
 
 
 class TestStaleTmpMountClock:
@@ -165,15 +152,22 @@ class TestStaleTmpMountClock:
         BankCache(root)
         assert not tmp_dir.exists()
 
-    def test_fast_local_clock_cannot_reap_live_queue_tmp(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("subdir", ["done", "failures", "metrics"])
+    def test_fast_local_clock_cannot_reap_live_queue_tmp(
+        self, tmp_path, monkeypatch, subdir
+    ):
         # A coordinator restart re-creates the queue, which sweeps its
         # stale temps, while a worker on another host is mid-publish
-        # of a done record.
+        # of a done record, a failure record or a metric snapshot.  A
+        # failed sweep keeps its queue for --resume, so an orphan must
+        # go even from the directories no re-run rewrites.
         queue = make_queue(tmp_path)
+        directory = queue.root / subdir
+        directory.mkdir(exist_ok=True)
         name = queue.pending_names()[0]
-        live = queue.done_dir / f"{name}.tmp999"
+        live = directory / f"{name}.tmp999"
         live.write_text("{}")
-        orphan = queue.done_dir / f"{name}.tmp998"
+        orphan = directory / f"{name}.tmp998"
         orphan.write_text("{}")
         old = time.time() - 7200.0
         os.utime(orphan, (old, old))

@@ -4,20 +4,47 @@ These run the complete production path — synthetic market, trained
 (compact) RevPred bank, Algorithm 1 orchestration — and assert the
 paper's qualitative relationships survive the full stack, not just the
 oracle shortcut used elsewhere in the suite.
+
+Training the two banks dominates this module, so they persist in
+pytest's cache directory, keyed by a digest of ``src/``: a rerun of the
+same tree loads them (bit-identical to training) instead of training
+again.
 """
+
+import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.context import build_context
 from repro.core.baselines import run_single_spot
+from repro.sweep.banks import BankCache
 from repro.workloads.catalog import get_workload
 from repro.workloads.trial import make_trials
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def source_digest() -> str:
+    """Digest of every file under ``src/``: no bank trained by one
+    tree loads into another."""
+    digest = hashlib.sha256()
+    for path in sorted(SRC.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(SRC)).encode())
+            digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
 
 @pytest.fixture(scope="module")
-def context():
-    return build_context(seed=0, scale="small")
+def context(request, tmp_path_factory):
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        root = cache.mkdir(f"banks-{source_digest()}")
+    else:  # the cache plugin is off (-p no:cacheprovider)
+        root = tmp_path_factory.mktemp("banks")
+    return build_context(seed=0, scale="small", bank_cache=BankCache(root))
 
 
 @pytest.fixture(scope="module")

@@ -4,10 +4,9 @@ Each rule gets a pair of committed fixture mini-trees under
 ``tests/data/lint_fixtures/<rule>/{clean,bad}``: the bad tree proves
 the rule fires (with the expected rule name and location), the clean
 tree proves it stays silent on the sanctioned idiom.  On top of the
-per-rule pairs: suppression comments, the baseline round trip through
-the CLI, JSON output shape, the ``--pin-frozen`` flow, CLI exit codes
-— and the self-check that the repository itself lints clean, which is
-the invariant CI enforces.
+per-rule pairs: suppression comments, JSON output shape, the
+``--pin-frozen`` flow, CLI exit codes — and the self-check that the
+repository itself lints clean, with a canary proving the check bites.
 """
 
 from __future__ import annotations
@@ -20,8 +19,6 @@ import pytest
 
 from repro.cli import main
 from repro.lint import LintError, all_rules, run_lint
-from repro.lint.baseline import Baseline
-from repro.lint.findings import Finding
 from repro.lint.rules.frozen import PIN_FILE, pin_frozen
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -234,55 +231,7 @@ class TestSuppression:
 
 
 # ----------------------------------------------------------------------
-# Baseline grandfathering
-# ----------------------------------------------------------------------
-class TestBaseline:
-    def test_partition_is_a_multiset(self):
-        finding = Finding(
-            path="src/repro/x.py", line=3, rule="r", message="m"
-        )
-        twin = Finding(path="src/repro/x.py", line=9, rule="r", message="m")
-        baseline = Baseline(
-            [{"rule": "r", "path": "src/repro/x.py", "message": "m"}]
-        )
-        fresh, grandfathered = baseline.partition([finding, twin])
-        # One entry absorbs exactly one occurrence; the duplicate
-        # violation is still fresh.
-        assert grandfathered == [finding]
-        assert fresh == [twin]
-
-    def test_entry_count_field(self):
-        finding = Finding(path="src/repro/x.py", line=3, rule="r", message="m")
-        twin = Finding(path="src/repro/x.py", line=9, rule="r", message="m")
-        baseline = Baseline(
-            [{"rule": "r", "path": "src/repro/x.py", "message": "m", "count": 2}]
-        )
-        fresh, grandfathered = baseline.partition([finding, twin])
-        assert fresh == []
-        assert len(grandfathered) == 2
-
-    def test_load_missing_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        fresh, grandfathered = baseline.partition(
-            [Finding(path="p", line=1, rule="r", message="m")]
-        )
-        assert len(fresh) == 1 and grandfathered == []
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": 99, "findings": []}))
-        with pytest.raises(ValueError, match="schema"):
-            Baseline.load(path)
-
-    def test_load_rejects_malformed_entries(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        path.write_text(json.dumps({"schema": 1, "findings": [{"rule": "r"}]}))
-        with pytest.raises(ValueError, match="rule/path/message"):
-            Baseline.load(path)
-
-
-# ----------------------------------------------------------------------
-# CLI: exit codes, formats, baseline round trip, --pin-frozen
+# CLI: exit codes, formats, --pin-frozen
 # ----------------------------------------------------------------------
 class TestCli:
     def lint(self, *argv: str) -> int:
@@ -327,7 +276,6 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["schema"] == 1
         assert payload["rules"] == sorted(all_rules())
-        assert payload["baselined"] == []
         assert {f["rule"] for f in payload["findings"]} == {"no-unseeded-rng"}
         assert all(
             {"path", "line", "rule", "message"} <= set(f)
@@ -339,52 +287,6 @@ class TestCli:
         out = capsys.readouterr().out
         for name in all_rules():
             assert name in out
-
-    def test_baseline_round_trip(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        shutil.copytree(FIXTURES / "deadline" / "bad", root)
-        # 1. Fresh findings fail the run.
-        assert self.lint("--root", str(root)) == 1
-        capsys.readouterr()
-        # 2. Grandfather them.
-        assert self.lint("--root", str(root), "--update-baseline") == 0
-        assert "baseline updated" in capsys.readouterr().out
-        baseline_path = root / "lint-baseline.json"
-        payload = json.loads(baseline_path.read_text())
-        assert payload["schema"] == 1
-        assert len(payload["findings"]) == 1
-        assert payload["findings"][0]["justification"] == ""
-        # 3. The same violations now pass, and are reported as baselined.
-        assert self.lint("--root", str(root)) == 0
-        assert "1 baselined" in capsys.readouterr().out
-        # 4. JSON mode routes them to "baselined", not "findings".
-        assert self.lint("--root", str(root), "--format", "json") == 0
-        json_payload = json.loads(capsys.readouterr().out)
-        assert json_payload["findings"] == []
-        assert len(json_payload["baselined"]) == 1
-        # 5. Removing the baseline un-grandfathers them.
-        baseline_path.unlink()
-        assert self.lint("--root", str(root)) == 1
-
-    def test_update_baseline_shrinks_on_fix(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        shutil.copytree(FIXTURES / "deadline" / "bad", root)
-        assert self.lint("--root", str(root), "--update-baseline") == 0
-        # Fix the violation; regenerating the baseline drops the entry.
-        shutil.copy(
-            FIXTURES / "deadline" / "clean" / "src/repro/sweep/distrib/backoff.py",
-            root / "src/repro/sweep/distrib/backoff.py",
-        )
-        assert self.lint("--root", str(root), "--update-baseline") == 0
-        payload = json.loads((root / "lint-baseline.json").read_text())
-        assert payload["findings"] == []
-
-    def test_corrupt_baseline_exits_two(self, tmp_path, capsys):
-        root = tmp_path / "tree"
-        shutil.copytree(FIXTURES / "wallclock" / "clean", root)
-        (root / "lint-baseline.json").write_text("not json{")
-        assert self.lint("--root", str(root)) == 2
-        assert "baseline" in capsys.readouterr().err
 
     def test_pin_frozen_round_trip(self, tmp_path, capsys):
         root = tmp_path / "tree"
@@ -418,18 +320,13 @@ class TestCli:
 # ----------------------------------------------------------------------
 class TestSelfCheck:
     def test_repo_lints_clean(self):
-        """The invariant the CI lint job enforces: every finding in the
-        shipped tree has been fixed or suppressed with a justification,
-        and the committed baseline stays empty."""
+        """Every finding in the shipped tree has been fixed or
+        suppressed with a justification."""
         assert run_lint(REPO_ROOT) == []
 
-    def test_committed_baseline_is_empty(self):
-        payload = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-        assert payload == {"schema": 1, "findings": []}
-
     def test_canary_violation_is_caught(self, tmp_path):
-        """Seed the same synthetic violation the CI canary step uses
-        and assert the linter sees it — guarding the guard."""
+        """Seed a wall-clock read into the simulation core and assert
+        the linter sees it — guarding the guard."""
         root = tmp_path / "canary"
         (root / "src").mkdir(parents=True)
         shutil.copytree(REPO_ROOT / "src" / "repro", root / "src" / "repro")

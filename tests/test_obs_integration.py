@@ -152,17 +152,30 @@ class TestProfileFlag:
     ):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SPEC))
-        rc = cli.main([
-            "sweep",
-            "--spec", str(spec_path),
-            "--cache-dir", str(tmp_path / "cache"),
-            "--profile", "1",
-        ])
+        spans = tmp_path / "spans.ndjson"
+        try:
+            rc = cli.main([
+                "sweep",
+                "--spec", str(spec_path),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--profile", "1",
+                "--trace", str(spans),
+            ])
+        finally:
+            obs.trace.configure(None)
         assert rc == 0
         out = capsys.readouterr().out
         assert "profile: 1 slowest cell(s)" in out
         assert "wall (s)" in out and "attempt" in out
         assert "seed=0" in out
+        # The span log converts to a Chrome trace holding one complete
+        # ("X") cell event per executed cell.
+        chrome = tmp_path / "chrome.json"
+        assert cli.main(["trace", "--chrome", str(chrome), "--spans", str(spans)]) == 0
+        events = json.loads(chrome.read_text())["traceEvents"]
+        cells = [e for e in events if e["name"] == "cell"]
+        assert len(cells) == 2
+        assert all(e["ph"] == "X" and e["dur"] >= 0 for e in cells)
 
     def test_profile_with_everything_cached_is_empty(
         self, tmp_path, fake_run_scenario, capsys
@@ -241,6 +254,7 @@ class TestServeTelemetry:
         drain(service.registry, submitted["id"])
         settled = wait_done(client, submitted["id"])
         assert settled["state"] == "done"
-        # Settled jobs keep the counts in their durable record.
-        assert isinstance(settled["worker_restarts"], int)
-        assert isinstance(settled["lost_leases"], int)
+        # Settled jobs keep the counts in their durable record: no
+        # worker restarted and no lease was lost.
+        assert settled["worker_restarts"] == 0
+        assert settled["lost_leases"] == 0

@@ -17,7 +17,15 @@ The two contracts everything else leans on:
 """
 
 import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
 import threading
+import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +344,77 @@ def wait_for(predicate, timeout: float = 30.0, poll: float = 0.02) -> None:
         if time.monotonic() > deadline:
             raise AssertionError("condition never became true")
         time.sleep(poll)
+
+
+def sample_total(metrics_text: str, series: str) -> float:
+    """Sum of the Prometheus samples named exactly ``series``, over
+    any labels it carries."""
+    total = 0.0
+    for line in metrics_text.splitlines():
+        if line.startswith(series + " ") or line.startswith(series + "{"):
+            total += float(line.rsplit(" ", 1)[1])
+    return total
+
+
+class TestServeCommand:
+    """``repro serve`` as a process, whose jobs spawn real
+    ``sweep-worker`` children: the path the in-process service above
+    never takes."""
+
+    def test_served_fleet_job_matches_serial_and_scrapes_fleet_metrics(
+        self, tmp_path
+    ):
+        spec_path = tmp_path / "grid.json"
+        spec_path.write_text(json.dumps(SPEC))
+        serial = tmp_path / "serial.json"
+        assert cli.main([
+            "sweep", "--spec", str(spec_path), "--jobs", "1",
+            "--cache-dir", str(tmp_path / "serial-cache"), "--out", str(serial),
+        ]) == 0
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve",
+                "--cache-dir", str(tmp_path / "serve-cache"),
+                "--port", "0", "--jobs", "2", "--quiet",
+            ],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
+        )
+        try:
+            readable, _, _ = select.select([process.stdout], [], [], 60)
+            assert readable, "repro serve printed no URL within 60 s"
+            line = process.stdout.readline().decode()
+            url = re.search(r"serving sweeps on (http://\S+)", line).group(1)
+            client = SweepClient(url, timeout=120.0)
+            job_id = client.submit(SPEC, jobs=2)["id"]
+            lines = list(client.stream_events(job_id))
+            assert [e["seq"] for e in lines[:-1]] == [0, 1]
+            assert lines[-1]["state"] == "done"
+            assert client.result_text(job_id) == serial.read_text()
+            status = client.status(job_id)
+            assert status["worker_restarts"] == 0
+            assert status["lost_leases"] == 0
+            # The coordinator absorbed the workers' counters before it
+            # retired the queue, so the server's own scrape shows them.
+            with urllib.request.urlopen(url + "/metrics", timeout=30) as response:
+                metrics = response.read().decode()
+            assert sample_total(metrics, "repro_queue_claims_total") > 0
+            assert sample_total(
+                metrics, 'repro_worker_cell_seconds_bucket{le="+Inf"}'
+            ) >= 1
+            assert "# TYPE repro_http_requests_total counter" in metrics.splitlines()
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=30) == 0
+            err = process.stderr.read().decode()
+            assert "running jobs stay adoptable on restart" in err
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
+            process.stderr.close()

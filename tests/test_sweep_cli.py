@@ -2,10 +2,10 @@
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -235,9 +235,12 @@ class TestSweepCommand:
 
 
 class TestKillMidSweep:
-    """ISSUE 3 acceptance: a killed sweep resumed with ``--resume``
-    re-executes zero completed cells — proven against a real process
-    killed with SIGKILL, not an in-process simulation."""
+    """A killed or interrupted sweep resumed with ``--resume``
+    re-executes zero completed cells — proven against a real process,
+    signalled as soon as its first progress line comes through a pipe.
+    That line arriving while the sweep still runs is also the streaming
+    check: unflushed progress would sit in the block-buffered pipe
+    until the sweep exits."""
 
     SPEC = {
         "seed": 0,
@@ -246,13 +249,19 @@ class TestKillMidSweep:
         "predictor": "oracle",
     }
 
-    def test_sigkill_loses_no_completed_cells(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGKILL, signal.SIGINT], ids=["SIGKILL", "SIGINT"]
+    )
+    def test_signal_loses_no_completed_cells(self, tmp_path, capsys, signum):
         spec_path = tmp_path / "grid.json"
         spec_path.write_text(json.dumps(self.SPEC))
         cache_dir = tmp_path / "cells"
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # Piped stdout is block-buffered unless the environment says
+        # otherwise; only the CLI's own flushes may stream the lines.
+        env.pop("PYTHONUNBUFFERED", None)
         process = subprocess.Popen(
             [
                 sys.executable,
@@ -265,27 +274,34 @@ class TestKillMidSweep:
                 str(cache_dir),
             ],
             env=env,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            bufsize=0,
         )
         try:
-            # Kill as soon as the first cell lands on disk (or let the
-            # sweep finish; either way resume must re-run nothing done).
-            deadline = time.monotonic() + 120
-            while time.monotonic() < deadline:
-                if cache_dir.is_dir() and list(cache_dir.glob("*.json")):
-                    break
-                if process.poll() is not None:
-                    break
-                time.sleep(0.05)
-            if process.poll() is None:
-                process.send_signal(signal.SIGKILL)
+            readable, _, _ = select.select([process.stdout], [], [], 120)
+            assert readable, "no progress line within 120 s"
+            first = process.stdout.readline().decode()
+            assert first.startswith("[1/4] ")
+            assert process.poll() is None, "the sweep exited before its first line came"
+            process.send_signal(signum)
             process.wait(timeout=30)
+            err = process.stderr.read().decode()
         finally:
             if process.poll() is None:
                 process.kill()
+                process.wait(timeout=30)
+            process.stdout.close()
+            process.stderr.close()
+        if signum == signal.SIGINT:
+            assert process.returncode == 130
+            assert "rerun with --resume" in err
+        else:
+            assert process.returncode == -signal.SIGKILL
         completed = len(list(cache_dir.glob("*.json")))
-        assert completed >= 1, "sweep never persisted a cell before the kill"
+        # The signal landed mid-sweep: the first cell was on disk
+        # before its line printed, and at least one cell was not.
+        assert 1 <= completed < 4
         assert (
             main(
                 [
