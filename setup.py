@@ -17,7 +17,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.9",
-    install_requires=["numpy"],
+    install_requires=["numpy", "scipy"],
     extras_require={"test": ["pytest", "hypothesis", "pytest-benchmark"]},
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
 )

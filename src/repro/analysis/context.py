@@ -25,7 +25,7 @@ import numpy as np
 from repro.market.dataset import SpotPriceDataset, generate_default_dataset
 from repro.market.trace import MINUTE
 from repro.revpred.model import RevPredNetwork
-from repro.revpred.predictor import CachingPredictor, PredictorBank
+from repro.revpred.predictor import CachingPredictor, OraclePredictor, PredictorBank
 from repro.revpred.trainer import RevPredTrainer, train_predictor_bank
 from repro.revpred.tributary import TributaryNetwork
 from repro.sim.clock import DAY
@@ -230,6 +230,13 @@ class ExperimentContext:
     def cached_tributary(self) -> CachingPredictor:
         return CachingPredictor(self.tributary_bank)
 
+    @cached_property
+    def oracle(self) -> OraclePredictor:
+        """One oracle for every cell of this context: its peak-price
+        memo is a pure function of the dataset, as a bank's embedding
+        memo is."""
+        return OraclePredictor(self.dataset)
+
     # ------------------------------------------------------------------
     # Trials
     # ------------------------------------------------------------------
@@ -275,7 +282,7 @@ class ExperimentContext:
         """Memoised SpotTune run for one (workload, theta, predictor,
         checkpoint policy, ablation knobs, mcnt) cell."""
         from repro.analysis.cells import make_orchestrator
-        from repro.revpred.predictor import ConstantPredictor, OraclePredictor
+        from repro.revpred.predictor import ConstantPredictor
 
         # 6 decimals matches Scenario's theta normalisation — distinct
         # sweep cells must never silently share one memoised run.
@@ -295,7 +302,7 @@ class ExperimentContext:
             elif predictor_kind == "tributary":
                 predictor = self.cached_tributary()
             elif predictor_kind == "oracle":
-                predictor = OraclePredictor(self.dataset)
+                predictor = self.oracle
             elif predictor_kind == "constant":
                 predictor = ConstantPredictor(0.0)
             else:

@@ -46,12 +46,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from repro.analysis.context import build_context
 from repro.analysis.reporting import format_table
+from repro.workloads.catalog import BENCHMARK_WORKLOADS
 
 FIGURES = ("fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10ab", "fig10c", "fig11", "fig12")
 
@@ -200,6 +202,20 @@ class _CellProgressPrinter:
             f"seed={cell.scenario.seed} {cell.scenario.label()}: {status}",
             flush=True,
         )
+
+
+def _output_closed(recovery: str) -> int:
+    """Stdout's reader went away (``repro sweep | head -1``).
+
+    Stdout is pointed at the null device, so the flush at exit cannot
+    fail again, and the exit status is 141 (128 + SIGPIPE), as SIGINT's
+    is 130.
+    """
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    print(f"output closed — {recovery}", file=sys.stderr)
+    return 141
 
 
 def _run_sweep(args: argparse.Namespace) -> int:
@@ -383,46 +399,53 @@ def _run_sweep(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print(f"\ninterrupted — {recovery}", file=sys.stderr)
         return 130
-    elapsed = time.perf_counter() - started
-    print(format_table(
-        summary_columns(), cells_table(result),
-        title=f"== sweep: {len(result)} cells ==",
-    ), flush=True)
-    mode = f"queue: {runner.queue_dir}" if args.distributed else f"jobs={args.jobs}"
-    if args.distributed and runner.worker_restarts:
-        mode += f"; supervisor restarted {runner.worker_restarts} worker(s)"
-    print(
-        f"\nexecuted {result.executed_count} cell(s), {result.cached_count} from "
-        f"cache; trained {result.bank_trainings} predictor bank(s); "
-        f"{mode}, {elapsed:.1f}s wall; cache: {where}; banks: {banks_where}",
-        flush=True,
-    )
-    if args.profile:
-        executed = [cell for cell in result.cells if not cell.cached]
-        slowest = sorted(
-            executed, key=lambda cell: cell.seconds, reverse=True
-        )[: args.profile]
-        rows = [
-            [
-                f"seed={cell.scenario.seed} {cell.scenario.label()}",
-                f"{cell.seconds:.3f}",
-                str(cell.attempt),
-            ]
-            for cell in slowest
-        ]
-        print()
+    except BrokenPipeError:
+        return _output_closed(recovery)
+    try:
+        elapsed = time.perf_counter() - started
+        if args.out:
+            # Grid-ordered canonical JSON — two runs of the same grid are
+            # byte-comparable with `cmp`, whatever executed them.  Written
+            # before the report, so a closed stdout cannot lose it.
+            Path(args.out).write_text(sweep_out_text(result.summaries()))
+        print(format_table(
+            summary_columns(), cells_table(result),
+            title=f"== sweep: {len(result)} cells ==",
+        ), flush=True)
+        mode = f"queue: {runner.queue_dir}" if args.distributed else f"jobs={args.jobs}"
+        if args.distributed and runner.worker_restarts:
+            mode += f"; supervisor restarted {runner.worker_restarts} worker(s)"
         print(
-            format_table(
-                ["cell", "wall (s)", "attempt"], rows,
-                title=f"== profile: {len(rows)} slowest cell(s) ==",
-            ),
+            f"\nexecuted {result.executed_count} cell(s), {result.cached_count} from "
+            f"cache; trained {result.bank_trainings} predictor bank(s); "
+            f"{mode}, {elapsed:.1f}s wall; cache: {where}; banks: {banks_where}",
             flush=True,
         )
-    if args.out:
-        # Grid-ordered canonical JSON — two runs of the same grid are
-        # byte-comparable with `cmp`, whatever executed them.
-        Path(args.out).write_text(sweep_out_text(result.summaries()))
-        print(f"wrote {args.out}", flush=True)
+        if args.profile:
+            executed = [cell for cell in result.cells if not cell.cached]
+            slowest = sorted(
+                executed, key=lambda cell: cell.seconds, reverse=True
+            )[: args.profile]
+            rows = [
+                [
+                    f"seed={cell.scenario.seed} {cell.scenario.label()}",
+                    f"{cell.seconds:.3f}",
+                    str(cell.attempt),
+                ]
+                for cell in slowest
+            ]
+            print()
+            print(
+                format_table(
+                    ["cell", "wall (s)", "attempt"], rows,
+                    title=f"== profile: {len(rows)} slowest cell(s) ==",
+                ),
+                flush=True,
+            )
+        if args.out:
+            print(f"wrote {args.out}", flush=True)
+    except BrokenPipeError:
+        return _output_closed(recovery)
     return 0
 
 
@@ -671,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     figures.set_defaults(func=_run_figures)
 
     tune = sub.add_parser("tune", help="run one SpotTune HPT simulation")
-    tune.add_argument("--workload", default="LoR")
+    tune.add_argument("--workload", choices=tuple(BENCHMARK_WORKLOADS), default="LoR")
     tune.add_argument("--theta", type=float, default=0.7)
     tune.add_argument("--predictor", choices=("oracle", "revpred"), default="oracle")
     tune.set_defaults(func=_run_tune)

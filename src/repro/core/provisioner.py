@@ -92,7 +92,8 @@ class Provisioner:
         market quotes (memoised per instant) plus the sequential
         max-price delta draws (the draw order is part of the
         orchestrator's rng stream and must stay in pool order), (2) one
-        ``probability_many`` pass over all candidates (memo-sharing, see
+        ``probability_many`` call over all candidates (a predictor bank
+        scores the cache misses in one stacked pass, see
         CachingPredictor), (3) the Equation 1/2 economics and the
         strict-``<`` argmin in pool order.  Every phase computes exactly
         what the fused per-instance loop computed, so decisions are

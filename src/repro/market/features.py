@@ -103,7 +103,7 @@ class FeatureExtractor:
         self._check_context(t)
         minutes = t - MINUTE * np.arange(HISTORY_MINUTES, 0, -1)
         rows = [self.base_features_at(m) for m in minutes]
-        return np.stack(rows)
+        return np.array(rows)
 
     def present_record(self, t: float, max_price: float) -> PresentRecord:
         """The present record at ``t`` with the candidate ``max_price``."""

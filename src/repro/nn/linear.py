@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn.module import Module, default_rng
@@ -53,3 +55,16 @@ class Linear(Module):
         self.weight.grad += x_flat.T @ grad_flat
         self.bias.grad += grad_flat.sum(axis=0)
         return grad_output @ self.weight.value.T
+
+
+def linear_stacked(layers: Sequence[Linear], x: np.ndarray) -> np.ndarray:
+    """Apply M same-shaped layers, one row each: (M, 1, in) -> (M, 1, out).
+
+    Row m equals ``layers[m].forward(x[m])`` bit for bit: NumPy runs the
+    stacked matmul as one GEMV (one dot for a single output) per layer,
+    the kernel a one-row forward calls.  Inference only; nothing is
+    kept for ``backward``.
+    """
+    W = np.array([layer.weight.value for layer in layers])
+    b = np.array([layer.bias.value for layer in layers])[:, None, :]
+    return x @ W + b

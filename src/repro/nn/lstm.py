@@ -8,6 +8,8 @@ verified against finite differences in the test suite.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.nn.module import Module, default_rng
@@ -15,6 +17,33 @@ from repro.nn.module import Module, default_rng
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
+def _infer_steps(x: np.ndarray, W: np.ndarray, b: np.ndarray, H: int) -> np.ndarray:
+    """Cache-free recurrence over ``x`` (..., batch, time, features).
+
+    ``W`` is one layer's packed weight, (features + H, 4H), or a stack
+    of them, (M, features + H, 4H), with ``x`` then (M, 1, time,
+    features) and ``b`` (M, 1, 4H).  Each gate value is the same
+    element-wise float64 expression of the same pre-activation as in
+    ``forward``; only the grouping into NumPy calls differs (one
+    sigmoid over all four gate blocks, the cell block's discarded), and
+    an element-wise ufunc's result does not depend on its neighbours.
+    """
+    lead = x.shape[:-2]
+    steps = x.shape[-2]
+    h = np.zeros(lead + (H,))
+    c = np.zeros(lead + (H,))
+    outputs = np.empty(lead + (steps, H))
+    for t in range(steps):
+        z = np.concatenate([x[..., t, :], h], axis=-1)
+        gates = z @ W + b
+        sig = _sigmoid(gates)
+        g = np.tanh(gates[..., 2 * H : 3 * H])
+        c = sig[..., H : 2 * H] * c + sig[..., :H] * g
+        h = sig[..., 3 * H :] * np.tanh(c)
+        outputs[..., t, :] = h
+    return outputs
 
 
 class _LSTMLayer(Module):
@@ -79,34 +108,17 @@ class _LSTMLayer(Module):
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Forward pass without populating the BPTT cache.
 
-        Bitwise-identical to :meth:`forward` — the per-timestep math is
-        the same operations in the same order — but skips allocating
-        and filling the eight (batch, time, hidden) cache arrays, which
-        dominate inference cost.  ``backward`` cannot follow this.
+        Bitwise-identical to :meth:`forward` — every value is the same
+        float64 expression (see ``_infer_steps``) — but skips
+        allocating and filling the eight (batch, time, hidden) cache
+        arrays, which dominate inference cost.  ``backward`` cannot
+        follow this.
         """
         if x.ndim != 3 or x.shape[2] != self.input_size:
             raise ValueError(
                 f"expected (batch, time, {self.input_size}), got {x.shape}"
             )
-        batch, steps, _ = x.shape
-        H = self.hidden_size
-        h = np.zeros((batch, H))
-        c = np.zeros((batch, H))
-        outputs = np.empty((batch, steps, H))
-        W = self.weight.value
-        b = self.bias.value
-        for t in range(steps):
-            z = np.concatenate([x[:, t], h], axis=1)
-            gates = z @ W + b
-            i = _sigmoid(gates[:, :H])
-            f = _sigmoid(gates[:, H : 2 * H])
-            g = np.tanh(gates[:, 2 * H : 3 * H])
-            o = _sigmoid(gates[:, 3 * H :])
-            c = f * c + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            outputs[:, t] = h
-        return outputs
+        return _infer_steps(x, self.weight.value, self.bias.value, self.hidden_size)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
@@ -205,3 +217,38 @@ class LSTM(Module):
         grad = np.zeros((batch, steps, hidden))
         grad[:, -1] = grad_last
         return grad
+
+
+def infer_stacked(lstms: Sequence[LSTM], x: np.ndarray) -> np.ndarray:
+    """Advance M same-shaped LSTMs one sequence each, in one pass.
+
+    ``x`` is (M, time, features) and row m feeds ``lstms[m]``; the
+    result is the top layers' (M, time, hidden) outputs.  Each timestep
+    is one ``(M, 1, K) @ (M, K, 4H)`` matmul over the models' weights
+    stacked C-contiguous.  NumPy runs a stacked matmul as one GEMV per
+    model, the kernel a one-row :meth:`LSTM.infer` calls, so row m
+    equals ``lstms[m].infer(x[m:m + 1])[0]`` bit for bit.  Batching the
+    rows into one 2-D (M, K) @ (K, 4H) GEMM through shared weights
+    would not be: its blocked kernel sums in another order.
+    """
+    if not lstms:
+        raise ValueError("infer_stacked needs at least one LSTM")
+    first = lstms[0]
+    shape = (first.input_size, first.hidden_size, first.num_layers)
+    for lstm in lstms:
+        if (lstm.input_size, lstm.hidden_size, lstm.num_layers) != shape:
+            raise ValueError(
+                "stacked LSTMs must share (input, hidden, layers) "
+                f"{shape}; got {(lstm.input_size, lstm.hidden_size, lstm.num_layers)}"
+            )
+    if x.ndim != 3 or x.shape[0] != len(lstms) or x.shape[2] != first.input_size:
+        raise ValueError(
+            f"expected ({len(lstms)}, time, {first.input_size}), got {x.shape}"
+        )
+    x = x[:, None]
+    for depth in range(first.num_layers):
+        layers = [lstm.layers[depth] for lstm in lstms]
+        W = np.array([layer.weight.value for layer in layers])
+        b = np.array([layer.bias.value for layer in layers])[:, None, :]
+        x = _infer_steps(x, W, b, first.hidden_size)
+    return x[:, 0]

@@ -12,13 +12,15 @@ applied downstream).
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.market.features import HISTORY_MINUTES, NUM_BASE_FEATURES
 from repro.nn.activations import ReLU
-from repro.nn.linear import Linear
+from repro.nn.linear import Linear, linear_stacked
 from repro.nn.losses import sigmoid
-from repro.nn.lstm import LSTM
+from repro.nn.lstm import LSTM, infer_stacked
 from repro.nn.module import Module, Sequential, default_rng
 
 
@@ -98,45 +100,46 @@ class RevPredNetwork(Module):
         return sigmoid(self.forward(history, present))
 
     # ------------------------------------------------------------------
-    # Inference-only split evaluation
+    # Inference-only split evaluation, many models in one pass
     # ------------------------------------------------------------------
     # The two branches touch disjoint inputs: the LSTM sees only the
     # history window (which does not depend on the candidate max price),
     # the FC branch only the present record.  Splitting them lets a
     # caller evaluate the expensive LSTM branch once per (market, time)
-    # and amortise it over every max-price query at that time — the
-    # batched per-poll-tick scoring path.  Each method reproduces its
-    # slice of ``forward`` bitwise (same operations, same order).
+    # and amortise it over every max-price query at that time.  Each
+    # method scores one row per model (``PredictorBank``'s path) and
+    # reproduces its slice of a one-row ``forward`` bitwise.
 
-    def history_embedding(self, history: np.ndarray) -> np.ndarray:
-        """Final LSTM hidden state for a history batch, (B, lstm_hidden).
-
-        Cache-free: safe for inference only, ``backward`` cannot follow.
-        """
-        if history.ndim != 3 or history.shape[2] != self.history_features:
-            raise ValueError(
-                f"history must be (batch, {HISTORY_MINUTES}, "
-                f"{self.history_features}); got {history.shape}"
-            )
-        return self.lstm.infer(history)[:, -1, :]
-
-    def predict_proba_split(
-        self, history_embedding: np.ndarray, present: np.ndarray
+    @staticmethod
+    def history_embedding_stacked(
+        models: Sequence["RevPredNetwork"], history: np.ndarray
     ) -> np.ndarray:
-        """P-hat from a precomputed history embedding plus present rows."""
-        if present.ndim != 2 or present.shape[1] != self.present_features:
-            raise ValueError(
-                f"present must be (batch, {self.present_features}); got {present.shape}"
-            )
-        if history_embedding.shape[0] != present.shape[0]:
-            raise ValueError(
-                f"batch mismatch: embedding {history_embedding.shape[0]} "
-                f"vs present {present.shape[0]}"
-            )
-        present_embedding = self.present_mlp.forward(present)
-        combined = np.concatenate([history_embedding, present_embedding], axis=1)
-        return sigmoid(self.head.forward(combined).reshape(-1))
+        """Row m of (M, 59, 6) through ``models[m]``'s LSTM: the final
+        hidden states, (M, lstm_hidden), bit for bit those of a one-row
+        ``forward`` (see :func:`repro.nn.lstm.infer_stacked`).  Cache-free:
+        ``backward`` cannot follow.
+        """
+        return infer_stacked([model.lstm for model in models], history)[:, -1, :]
 
-    def infer_proba(self, history: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Inference-only ``predict_proba``: no BPTT cache allocation."""
-        return self.predict_proba_split(self.history_embedding(history), present)
+    @staticmethod
+    def proba_split_stacked(
+        models: Sequence["RevPredNetwork"],
+        history_embedding: np.ndarray,
+        present: np.ndarray,
+    ) -> np.ndarray:
+        """P-hat of row q through ``models[q]``'s present MLP and head.
+
+        ``history_embedding`` is (Q, lstm_hidden) and ``present`` (Q, 7);
+        row q equals ``models[q].predict_proba`` of that row's one-row
+        input, bit for bit.
+        """
+        x = present[:, None, :]
+        for depth, layer in enumerate(models[0].present_mlp.layers):
+            if isinstance(layer, Linear):
+                layers = [model.present_mlp.layers[depth] for model in models]
+                x = linear_stacked(layers, x)
+            else:
+                x = layer.forward(x)
+        combined = np.concatenate([history_embedding[:, None, :], x], axis=2)
+        logits = linear_stacked([model.head for model in models], combined)
+        return sigmoid(logits.reshape(-1))

@@ -23,13 +23,12 @@ import numpy as np
 from repro.cloud.instance import InstanceType
 from repro.market.dataset import SpotPriceDataset
 from repro.market.features import FeatureExtractor
-from repro.market.labeling import will_be_revoked
 from repro.market.trace import HOUR
 from repro.revpred.calibration import OddsCorrection
 
 #: Memoised history embeddings per market predictor before the memo
-#: resets; each entry is a (1, lstm_hidden) float64 array, so even the
-#: cap costs only a few megabytes.
+#: resets; each entry is an (lstm_hidden,) float64 row, so even the cap
+#: costs only a few megabytes.
 _EMBEDDING_CACHE_MAX = 8192
 
 
@@ -50,38 +49,11 @@ class MarketPredictor:
     #: History embeddings keyed by exact sample time.  RevPred's LSTM
     #: branch sees only the history window — never the candidate max
     #: price — so every max-price query at one time shares one
-    #: embedding.  Populated only for models exposing the split
-    #: inference API (``history_embedding``/``predict_proba_split``).
+    #: embedding.  Filled only for split models (RevPred's
+    #: ``proba_split_stacked``).
     _embedding_cache: dict[float, np.ndarray] = field(
         default_factory=dict, repr=False, compare=False
     )
-
-    def probability(self, t: float, max_price: float) -> float:
-        model = self.model
-        if hasattr(model, "predict_proba_split"):
-            # Two-branch split path: amortise the LSTM over every
-            # max-price query at this sample time.  Bitwise-identical
-            # to the full forward — the split evaluates the same
-            # operations in the same order, and a memo hit returns the
-            # identical embedding array.
-            embedding = self._embedding_cache.get(t)
-            if embedding is None:
-                history = self.extractor.history_matrix(t)
-                embedding = model.history_embedding(history[None])
-                if len(self._embedding_cache) >= _EMBEDDING_CACHE_MAX:
-                    self._embedding_cache.clear()
-                self._embedding_cache[t] = embedding
-            present = self.extractor.present_record(t, max_price).features
-            p_hat = float(model.predict_proba_split(embedding, present[None])[0])
-        elif hasattr(model, "infer_proba"):
-            # Single-stream models (Tributary): no price-independent
-            # prefix to memoise, but inference still skips BPTT caches.
-            history, present = self.extractor.window_sample(t, max_price)
-            p_hat = float(model.infer_proba(history[None], present[None])[0])
-        else:
-            history, present = self.extractor.window_sample(t, max_price)
-            p_hat = float(model.predict_proba(history[None], present[None])[0])
-        return float(self.correction.apply(p_hat))
 
 
 @dataclass
@@ -91,25 +63,125 @@ class PredictorBank:
     predictors: dict[str, MarketPredictor]
 
     def probability(self, instance: InstanceType, t: float, max_price: float) -> float:
+        return self.probability_many([(instance, t, max_price)])[0]
+
+    def probability_many(
+        self, queries: Iterable[tuple[InstanceType, float, float]]
+    ) -> list[float]:
+        """Score queries on any markets in one stacked pass.
+
+        Each query runs through its own market's model, one row per
+        query, and row q equals a one-query call bit for bit: the
+        stacked matmuls run one GEMV per row, the kernel a one-row pass
+        calls (see :func:`repro.nn.lstm.infer_stacked`).  RevPred first
+        runs the history embeddings missing from the markets' memos,
+        one per (market, time), then every query's present MLP and
+        head; Tributary runs each query's whole sequence, since its max
+        price enters every record.
+        """
+        queries = list(queries)
+        markets = [self._market(instance) for instance, _, _ in queries]
+        if not queries:
+            return []
+        model_type = type(markets[0].model)
+        models = [market.model for market in markets]
+        if hasattr(model_type, "proba_split_stacked"):
+            embeddings = self._history_embeddings(model_type, queries)
+            present = np.array(
+                [
+                    market.extractor.present_record(t, max_price).features
+                    for market, (_, t, max_price) in zip(markets, queries)
+                ]
+            )
+            p_hat = model_type.proba_split_stacked(models, embeddings, present)
+        else:
+            samples = [
+                market.extractor.window_sample(t, max_price)
+                for market, (_, t, max_price) in zip(markets, queries)
+            ]
+            p_hat = model_type.infer_proba_stacked(
+                models,
+                np.array([history for history, _ in samples]),
+                np.array([present for _, present in samples]),
+            )
+        return [
+            float(market.correction.apply(float(p)))
+            for market, p in zip(markets, p_hat)
+        ]
+
+    def _market(self, instance: InstanceType) -> MarketPredictor:
         if instance.name not in self.predictors:
             known = ", ".join(sorted(self.predictors))
             raise KeyError(f"no predictor for {instance.name!r}; have: {known}")
-        return self.predictors[instance.name].probability(t, max_price)
+        return self.predictors[instance.name]
+
+    def _history_embeddings(self, model_type, queries) -> np.ndarray:
+        """(Q, lstm_hidden): each query's history embedding; the ones
+        missing from the markets' memos run in one stacked LSTM pass."""
+        embeddings: dict[tuple[str, float], np.ndarray | None] = {}
+        for instance, t, _ in queries:
+            key = (instance.name, t)
+            if key not in embeddings:
+                embeddings[key] = self.predictors[instance.name]._embedding_cache.get(t)
+        missing = [key for key, embedding in embeddings.items() if embedding is None]
+        if missing:
+            markets = [self.predictors[name] for name, _ in missing]
+            histories = [
+                market.extractor.history_matrix(t)
+                for market, (_, t) in zip(markets, missing)
+            ]
+            fresh = np.ascontiguousarray(
+                model_type.history_embedding_stacked(
+                    [market.model for market in markets], np.array(histories)
+                )
+            )
+            for market, key, embedding in zip(markets, missing, fresh):
+                memo = market._embedding_cache
+                if len(memo) >= _EMBEDDING_CACHE_MAX:
+                    memo.clear()
+                memo[key[1]] = embeddings[key] = embedding
+        return np.array([embeddings[(instance.name, t)] for instance, t, _ in queries])
 
     def __contains__(self, name: str) -> bool:
         return name in self.predictors
 
 
+#: Memoised peak prices per oracle before the memo resets; each entry
+#: is one float per (market, time).
+_PEAK_CACHE_MAX = 1 << 16
+
+
 @dataclass
 class OraclePredictor:
-    """Perfect foresight from the replayed trace (ablation reference)."""
+    """Perfect foresight from the replayed trace (ablation reference).
+
+    A query is revoked exactly when the peak market price over
+    ``[t, min(t + horizon, trace end)]`` exceeds its max price (the
+    strict ``>`` of :func:`will_be_revoked`).  The peak is a pure
+    function of (market, t), so it is memoised per oracle and every
+    max price drawn at one instant shares it; ``ExperimentContext``
+    keeps one oracle per context, so all of a seed's cells share the
+    memo.
+    """
 
     dataset: SpotPriceDataset
     horizon: float = HOUR
+    _peaks: dict[tuple[str, float], float] = field(
+        default_factory=dict, repr=False, compare=False
+    )
 
     def probability(self, instance: InstanceType, t: float, max_price: float) -> float:
-        trace = self.dataset[instance.name]
-        return 1.0 if will_be_revoked(trace, t, max_price, self.horizon) else 0.0
+        key = (instance.name, t)
+        peak = self._peaks.get(key)
+        if peak is None:
+            trace = self.dataset[instance.name]
+            # Clamped below at t, as will_be_revoked's window is: past
+            # the trace end only the price at t counts.
+            peak = trace.max_price_in(t, max(t, min(t + self.horizon, trace.end)))
+            if len(self._peaks) >= _PEAK_CACHE_MAX:
+                self._peaks.clear()
+            self._peaks[key] = peak
+        return 1.0 if peak > max_price else 0.0
 
 
 @dataclass(frozen=True)
@@ -146,36 +218,43 @@ class CachingPredictor:
     _cache: dict[tuple[str, int, float], float] = field(default_factory=dict)
 
     def probability(self, instance: InstanceType, t: float, max_price: float) -> float:
-        key = (
-            instance.name,
-            int(t // self.time_quantum),
-            round(max_price, self.price_decimals),
-        )
-        if key not in self._cache:
-            quantised_time = (key[1] + 0.5) * self.time_quantum
-            self._cache[key] = self.inner.probability(instance, quantised_time, max_price)
-        return self._cache[key]
+        return self.probability_many([(instance, t, max_price)])[0]
 
     def probability_many(
         self, queries: Iterable[tuple[InstanceType, float, float]]
     ) -> list[float]:
-        """Score a poll tick's pending queries in one pass.
+        """Score a poll tick's queries; the misses go to the inner
+        predictor in one call.
 
-        Equivalent to calling :meth:`probability` per query, in order.
-        The order matters: a key rounds the max price, but its value is
-        computed from the unrounded price of the first query that fills
-        it, so two prices sharing a key return whichever came first.
-        The batching is structural, not numeric:
-        all queries sharing a (market, time-bucket) reuse one memoised
-        history embedding, and only novel keys reach the model at all.
-        Cross-query matrix batching is deliberately *not* done — a
-        (B, F) GEMM is not bitwise-identical to B GEMV rows under
-        OpenBLAS, and the sweep guarantees byte-identical summaries.
+        Equivalent to one :meth:`probability` call per query, in order.
+        A key rounds the max price, but its value is computed from the
+        unrounded price of the first query that names it, within this
+        call or any earlier one, so two prices sharing a key return
+        whichever came first.  The inner query is at the midpoint of
+        the key's time bucket.  A :class:`PredictorBank` scores all the
+        misses in one stacked pass, bitwise equal to scoring them one
+        by one; any other inner predictor is asked per query.
         """
-        return [
-            self.probability(instance, t, max_price)
-            for instance, t, max_price in queries
-        ]
+        keys = []
+        misses: dict[tuple[str, int, float], tuple[InstanceType, float, float]] = {}
+        for instance, t, max_price in queries:
+            key = (
+                instance.name,
+                int(t // self.time_quantum),
+                round(max_price, self.price_decimals),
+            )
+            keys.append(key)
+            if key not in self._cache and key not in misses:
+                misses[key] = (instance, (key[1] + 0.5) * self.time_quantum, max_price)
+        if misses:
+            pending = list(misses.values())
+            score_many = getattr(self.inner, "probability_many", None)
+            if score_many is not None:
+                values = score_many(pending)
+            else:
+                values = [self.inner.probability(*query) for query in pending]
+            self._cache.update(zip(misses, values))
+        return [self._cache[key] for key in keys]
 
     @property
     def cache_size(self) -> int:

@@ -19,12 +19,14 @@ The second difference lives in the training-set builder
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.market.features import NUM_BASE_FEATURES
-from repro.nn.linear import Linear
+from repro.nn.linear import Linear, linear_stacked
 from repro.nn.losses import sigmoid
-from repro.nn.lstm import LSTM
+from repro.nn.lstm import LSTM, infer_stacked
 from repro.nn.module import Module, default_rng
 
 
@@ -82,17 +84,20 @@ class TributaryNetwork(Module):
     def predict_proba(self, history: np.ndarray, present: np.ndarray) -> np.ndarray:
         return sigmoid(self.forward(history, present))
 
-    def infer_proba(self, history: np.ndarray, present: np.ndarray) -> np.ndarray:
-        """Inference-only ``predict_proba``: same math, no BPTT cache.
+    @staticmethod
+    def infer_proba_stacked(
+        models: Sequence["TributaryNetwork"], history: np.ndarray, present: np.ndarray
+    ) -> np.ndarray:
+        """Inference-only P-hat of row q's whole sequence through
+        ``models[q]``, bit for bit that row's one-row ``predict_proba``
+        (see :func:`repro.nn.lstm.infer_stacked`).
 
-        Unlike RevPred, the max price is broadcast into *every* record
-        of the single input stream, so there is no price-independent
-        prefix to precompute — the whole sequence re-runs per query.
+        ``history`` is (Q, 59, 6) and ``present`` (Q, 7).  Unlike
+        RevPred, the max price is broadcast into *every* record of the
+        single input stream, so there is no price-independent prefix to
+        precompute — the whole sequence re-runs per query.
         """
-        if history.ndim != 3 or history.shape[2] != self.history_features:
-            raise ValueError(f"bad history shape: {history.shape}")
-        if present.ndim != 2 or present.shape[1] != self.present_features:
-            raise ValueError(f"bad present shape: {present.shape}")
-        sequence = self._pack_sequence(history, present)
-        outputs = self.lstm.infer(sequence)
-        return sigmoid(self.head.forward(outputs[:, -1, :]).reshape(-1))
+        sequence = models[0]._pack_sequence(history, present)
+        outputs = infer_stacked([model.lstm for model in models], sequence)
+        logits = linear_stacked([model.head for model in models], outputs[:, -1:, :])
+        return sigmoid(logits.reshape(-1))

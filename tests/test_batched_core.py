@@ -18,9 +18,11 @@ bitwise-identical to the frozen scalar core in
   observed count) in a context, and tables that reproduce
   ``observe`` point by point;
 * unit bitwise pins for each building block (LSTM inference, the
-  RevPred split forward, Tributary inference, plateau counter, bulk
-  curve lookup, the memoising predictor's batch entry point, feature
-  row memo, market snapshots).
+  stacked LSTM pass, the RevPred split forward, Tributary inference,
+  the bank's stacked pass against the frozen per-query predictor,
+  plateau counter, bulk curve lookup, the memoising predictor's batch
+  entry point, the oracle's peak-price memo, feature row memo, market
+  snapshots).
 """
 
 import dataclasses
@@ -40,16 +42,24 @@ from repro.core.reference import (
     ReferenceEarlyCurvePredictor,
     ReferenceOrchestrator,
 )
+from repro.cloud.instance import get_instance_type
+from repro.core.config import SpotTuneConfig
 from repro.earlycurve.predictor import EarlyCurvePredictor
 from repro.market.features import FeatureExtractor
-from repro.nn.lstm import LSTM
+from repro.market.labeling import will_be_revoked
+from repro.market.trace import HOUR
+from repro.nn.lstm import LSTM, infer_stacked
 from repro.revpred.model import RevPredNetwork
 from repro.revpred.predictor import (
     CachingPredictor,
     ConstantPredictor,
     OraclePredictor,
 )
-from repro.revpred.trainer import default_tributary_factory, untrained_predictor_bank
+from repro.revpred.trainer import (
+    default_revpred_factory,
+    default_tributary_factory,
+    untrained_predictor_bank,
+)
 from repro.revpred.tributary import TributaryNetwork
 from repro.sweep.cache import canonical_json
 from repro.workloads.catalog import get_workload
@@ -269,40 +279,64 @@ class TestInferenceBitwise:
         x = rng.normal(size=(4, 59, 6))
         np.testing.assert_array_equal(lstm.infer(x), lstm.forward(x))
 
+    @pytest.mark.parametrize("models", [1, 6])
+    def test_stacked_lstm_matches_one_row_infer(self, models):
+        """Each row of one stacked pass over M differently-weighted
+        LSTMs is that model's one-row ``infer``, bit for bit."""
+        rng = np.random.default_rng(23)
+        lstms = [
+            LSTM(7, 24, num_layers=3, rng=np.random.default_rng(40 + m))
+            for m in range(models)
+        ]
+        x = rng.normal(size=(models, 60, 7))
+        stacked = infer_stacked(lstms, x)
+        assert stacked.shape == (models, 60, 24)
+        for m, lstm in enumerate(lstms):
+            assert stacked[m].tobytes() == lstm.infer(x[m : m + 1])[0].tobytes()
+
+    def test_stacked_lstm_rejects_mixed_shapes(self):
+        lstms = [LSTM(6, 24, num_layers=3), LSTM(6, 16, num_layers=3)]
+        with pytest.raises(ValueError):
+            infer_stacked(lstms, np.zeros((2, 59, 6)))
+
     def test_revpred_split_matches_forward(self):
+        """The stacked split pass (history embeddings, then the present
+        MLP and head) over five differently-weighted models equals each
+        model's one-row forward."""
         rng = np.random.default_rng(11)
-        model = RevPredNetwork(rng=np.random.default_rng(3))
+        models = [RevPredNetwork(rng=np.random.default_rng(3 + m)) for m in range(5)]
         history = rng.normal(size=(5, 59, 6))
         present = rng.normal(size=(5, 7))
-        full = model.predict_proba(history, present)
-        embedding = model.history_embedding(history)
-        np.testing.assert_array_equal(
-            model.predict_proba_split(embedding, present), full
-        )
-        np.testing.assert_array_equal(model.infer_proba(history, present), full)
+        embedding = RevPredNetwork.history_embedding_stacked(models, history)
+        stacked = RevPredNetwork.proba_split_stacked(models, embedding, present)
+        for m, model in enumerate(models):
+            full = model.predict_proba(history[m : m + 1], present[m : m + 1])
+            assert stacked[m : m + 1].tobytes() == full.tobytes()
 
     def test_revpred_embedding_reusable_across_prices(self):
         """One embedding serves every max-price variant bitwise."""
         rng = np.random.default_rng(13)
         model = RevPredNetwork(rng=np.random.default_rng(5))
         history = rng.normal(size=(1, 59, 6))
-        embedding = model.history_embedding(history)
+        embedding = RevPredNetwork.history_embedding_stacked([model], history)
         for max_price in (0.1, 0.5, 2.0):
             present = np.concatenate([rng.normal(size=6), [max_price]])[None]
             np.testing.assert_array_equal(
-                model.predict_proba_split(embedding, present),
+                RevPredNetwork.proba_split_stacked([model], embedding, present),
                 model.predict_proba(history, present),
             )
 
     def test_tributary_infer_matches_forward(self):
+        """Each row of one stacked Tributary pass equals that model's
+        one-row forward."""
         rng = np.random.default_rng(17)
-        model = TributaryNetwork(rng=np.random.default_rng(9))
+        models = [TributaryNetwork(rng=np.random.default_rng(9 + m)) for m in range(3)]
         history = rng.normal(size=(3, 59, 6))
         present = rng.normal(size=(3, 7))
-        np.testing.assert_array_equal(
-            model.infer_proba(history, present),
-            model.predict_proba(history, present),
-        )
+        stacked = TributaryNetwork.infer_proba_stacked(models, history, present)
+        for m, model in enumerate(models):
+            full = model.predict_proba(history[m : m + 1], present[m : m + 1])
+            assert stacked[m : m + 1].tobytes() == full.tobytes()
 
 
 class TestPlateauIncremental:
@@ -474,6 +508,74 @@ class TestProbabilityMany:
         t = context.replay_start + 3600.0
         first = predictor.probability_many([(instance, t, 0.5)])[0]
         assert predictor.probability(instance, t, 0.5) == first
+
+    @pytest.mark.parametrize(
+        "factory",
+        [default_revpred_factory, default_tributary_factory],
+        ids=["revpred", "tributary"],
+    )
+    def test_bank_pass_matches_reference_per_query(self, context, factory):
+        """One stacked pass over the whole pool, two prices a market,
+        equals the frozen one-query full forward bit for bit — on fresh
+        instants and on one whose embeddings are memoised."""
+        bank = untrained_predictor_bank(context.dataset, model_factory=factory)
+        reference = ReferenceBankPredictor(bank)
+        pool = SpotTuneConfig().instance_pool
+        start = context.replay_start + 3600.0
+        for t in (start, start + 1234.0, start + 7210.0, start):
+            queries = [
+                (instance, t, share * instance.on_demand_price)
+                for instance in pool
+                for share in (0.35, 0.9)
+            ]
+            assert bank.probability_many(queries) == [
+                reference.probability(*query) for query in queries
+            ]
+
+    def test_repeated_key_in_one_batch_keeps_the_first_price(self, context):
+        """Two prices rounding to one key in one batch: both get the
+        value of the first price, as two separate calls would."""
+        bank = untrained_predictor_bank(context.dataset)
+        r4l, r4x = get_instance_type("r4.large"), get_instance_type("r4.xlarge")
+        t = context.replay_start + 100.0
+        midpoint = (t // 300.0 + 0.5) * 300.0
+        cheap, dear = 0.1231, 0.1234
+        values = CachingPredictor(bank).probability_many(
+            [(r4l, t, cheap), (r4x, t, 0.2), (r4l, t + 50.0, dear)]
+        )
+        assert values[2] == values[0] == bank.probability(r4l, midpoint, cheap)
+        assert values[0] != bank.probability(r4l, midpoint, dear)
+        assert values[1] == bank.probability(r4x, midpoint, 0.2)
+
+
+class TestOracleMemo:
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_memoised_probability_is_will_be_revoked(self, data):
+        """The peak-price memo answers exactly as ``will_be_revoked``:
+        near and past the trace end, at a max price equal to a price in
+        the window (the strict ``>``), and for a repeated (market, t)
+        at another price.  The context's one oracle serves every
+        example, so its memo fills as a seed's cells would fill it."""
+        dataset = _PROPERTY_CONTEXT.dataset
+        name = data.draw(st.sampled_from(dataset.instance_types))
+        trace = dataset[name]
+        if data.draw(st.booleans()):
+            t = data.draw(st.floats(trace.end - HOUR, trace.end + 600.0))
+        else:
+            t = float(data.draw(st.integers(int(trace.start), int(trace.end))))
+        lo = int(np.searchsorted(trace.times, t, side="right")) - 1
+        hi = int(np.searchsorted(trace.times, min(t + HOUR, trace.end), side="right"))
+        window = trace.prices[lo : max(hi, lo + 1)]
+        prices = [
+            float(data.draw(st.sampled_from(list(window)))),
+            data.draw(st.floats(0.5 * window.min(), 1.5 * window.max())),
+        ]
+        oracle = _PROPERTY_CONTEXT.oracle
+        instance = get_instance_type(name)
+        for max_price in prices + prices[:1]:
+            expected = 1.0 if will_be_revoked(trace, t, max_price) else 0.0
+            assert oracle.probability(instance, t, max_price) == expected
 
 
 class TestFeatureRowMemo:

@@ -25,6 +25,14 @@ class TestParser:
         assert args.days == 2.0
         assert args.out == "x.csv"
 
+    def test_tune_unknown_workload_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tune", "--workload", "XYZ"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'XYZ'" in err and "LoR" in err
+        assert "Traceback" not in err
+
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])

@@ -249,10 +249,9 @@ class TestKillMidSweep:
         "predictor": "oracle",
     }
 
-    @pytest.mark.parametrize(
-        "signum", [signal.SIGKILL, signal.SIGINT], ids=["SIGKILL", "SIGINT"]
-    )
-    def test_signal_loses_no_completed_cells(self, tmp_path, capsys, signum):
+    def _start_after_first_line(self, tmp_path):
+        """Spawn the 4-cell sweep with stdout on a pipe and read its
+        first progress line; returns (process, spec path, cache dir)."""
         spec_path = tmp_path / "grid.json"
         spec_path.write_text(json.dumps(self.SPEC))
         cache_dir = tmp_path / "cells"
@@ -284,23 +283,24 @@ class TestKillMidSweep:
             first = process.stdout.readline().decode()
             assert first.startswith("[1/4] ")
             assert process.poll() is None, "the sweep exited before its first line came"
-            process.send_signal(signum)
+        except BaseException:
+            self._reap(process)
+            raise
+        return process, spec_path, cache_dir
+
+    @staticmethod
+    def _reap(process):
+        if process.poll() is None:
+            process.kill()
             process.wait(timeout=30)
-            err = process.stderr.read().decode()
-        finally:
-            if process.poll() is None:
-                process.kill()
-                process.wait(timeout=30)
-            process.stdout.close()
-            process.stderr.close()
-        if signum == signal.SIGINT:
-            assert process.returncode == 130
-            assert "rerun with --resume" in err
-        else:
-            assert process.returncode == -signal.SIGKILL
+        process.stdout.close()
+        process.stderr.close()
+
+    @staticmethod
+    def _resume_runs_only_missing(spec_path, cache_dir, capsys):
         completed = len(list(cache_dir.glob("*.json")))
-        # The signal landed mid-sweep: the first cell was on disk
-        # before its line printed, and at least one cell was not.
+        # The sweep stopped mid-way: the first cell was on disk before
+        # its line printed, and at least one cell was not.
         assert 1 <= completed < 4
         assert (
             main(
@@ -317,6 +317,41 @@ class TestKillMidSweep:
         )
         out = capsys.readouterr().out
         assert f"executed {4 - completed} cell(s), {completed} from cache" in out
+
+    @pytest.mark.parametrize(
+        "signum", [signal.SIGKILL, signal.SIGINT], ids=["SIGKILL", "SIGINT"]
+    )
+    def test_signal_loses_no_completed_cells(self, tmp_path, capsys, signum):
+        process, spec_path, cache_dir = self._start_after_first_line(tmp_path)
+        try:
+            process.send_signal(signum)
+            process.wait(timeout=30)
+            err = process.stderr.read().decode()
+        finally:
+            self._reap(process)
+        if signum == signal.SIGINT:
+            assert process.returncode == 130
+            assert "rerun with --resume" in err
+        else:
+            assert process.returncode == -signal.SIGKILL
+        self._resume_runs_only_missing(spec_path, cache_dir, capsys)
+
+    def test_closed_output_exits_141_and_resumes(self, tmp_path, capsys):
+        """``repro sweep ... | head -1``: the reader closes the pipe
+        after the first line, and the next progress line must end the
+        sweep with 128 + SIGPIPE and the resume hint, not a
+        ``BrokenPipeError`` traceback."""
+        process, spec_path, cache_dir = self._start_after_first_line(tmp_path)
+        try:
+            process.stdout.close()
+            process.wait(timeout=120)
+            err = process.stderr.read().decode()
+        finally:
+            self._reap(process)
+        assert process.returncode == 141, err
+        assert "output closed" in err and "rerun with --resume" in err
+        assert "Traceback" not in err
+        self._resume_runs_only_missing(spec_path, cache_dir, capsys)
 
 
 class TestDistributedCommand:
