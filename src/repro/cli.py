@@ -678,6 +678,29 @@ def _run_lint(args: argparse.Namespace) -> int:
     return 0
 
 
+def _number(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
+def _theta(text: str) -> float:
+    """``tune --theta``: the share of max_trial_steps, in (0, 1]."""
+    value = _number(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1]: {text}")
+    return value
+
+
+def _days(text: str) -> float:
+    """``trace --days``: a positive, finite number of days."""
+    value = _number(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a positive number of days: {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="SpotTune reproduction command-line interface"
@@ -695,7 +718,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune = sub.add_parser("tune", help="run one SpotTune HPT simulation")
     tune.add_argument("--workload", choices=tuple(BENCHMARK_WORKLOADS), default="LoR")
-    tune.add_argument("--theta", type=float, default=0.7)
+    tune.add_argument("--theta", type=_theta, default=0.7)
     tune.add_argument("--predictor", choices=("oracle", "revpred"), default="oracle")
     tune.set_defaults(func=_run_tune)
 
@@ -704,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="generate a synthetic price dataset, or export a span log "
         "to Chrome trace format",
     )
-    trace.add_argument("--days", type=float, default=12.0)
+    trace.add_argument("--days", type=_days, default=12.0)
     trace.add_argument("--out", help="CSV output path")
     trace.add_argument(
         "--chrome", metavar="FILE",

@@ -11,8 +11,10 @@ Components:
 
 * :func:`detect_stages` — the Equation 7 online boundary heuristic
   (changing rate over 0.5 after five steady steps under 0.01);
-* :class:`StagedCurveModel` — per-stage inverse-quadratic fits via
-  ``scipy.optimize.least_squares`` (the solver the paper cites);
+* :class:`StagedCurveModel` — per-stage inverse-quadratic fits by
+  scipy's trust-region-reflective ``least_squares`` (the solver the
+  paper cites), run from an exact in-tree copy in
+  :mod:`repro.earlycurve.trf` that returns scipy's result bit for bit;
 * :class:`SlaqCurveModel` — the one-stage baseline;
 * :class:`EarlyCurvePredictor` — the online wrapper: collects metric
   points, detects plateau convergence, predicts the final metric at

@@ -6,11 +6,12 @@ Within each stage the metric is fitted by
 
 where k counts steps from the stage start — the inverse-quadratic
 family that matches the O(1/k)..O(1/k^2) convergence of gradient
-methods (paper §III-C, citing Optimus).  Coefficients are found with
-``scipy.optimize.least_squares`` under non-negativity bounds, exactly
-the solver the paper references.  The full curve is the piecewise
-union of the stage fits; extrapolation beyond the observed range uses
-the last stage's fit.
+methods (paper §III-C, citing Optimus).  Coefficients are found under
+non-negativity bounds by the solver the paper references, scipy's
+trust-region-reflective ``least_squares``, run from an exact in-tree
+copy (:mod:`repro.earlycurve.trf`) that returns its result bit for bit.
+The full curve is the piecewise union of the stage fits; extrapolation
+beyond the observed range uses the last stage's fit.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from repro.earlycurve.stages import DEFAULT_EPS, DEFAULT_XI, Stage, detect_stages
+from repro.earlycurve.trf import trf_nonnegative
 
 #: Parameters of a degenerate (constant) stage fit: 1/a2 is negligible
 #: and a3 carries the constant level.
@@ -28,7 +29,9 @@ _CONSTANT_A2 = 1e12
 
 
 def _stage_curve(params: np.ndarray, k: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = params
+    """Equation 4 at offsets ``k``; an ``(r, 4)`` stack of parameter rows
+    gives one row per parameter set, each equal to its own evaluation."""
+    a0, a1, a2, a3 = np.asarray(params).T[..., np.newaxis]
     denominator = np.maximum(a0 * k**2 + a1 * k + a2, 1e-12)
     return 1.0 / denominator + a3
 
@@ -56,14 +59,7 @@ def fit_single_stage(k: np.ndarray, values: np.ndarray) -> np.ndarray:
     def residuals(params: np.ndarray) -> np.ndarray:
         return _stage_curve(params, k) - values
 
-    result = least_squares(
-        residuals,
-        x0,
-        bounds=(np.zeros(4), np.full(4, np.inf)),
-        method="trf",
-        max_nfev=200,
-    )
-    return result.x
+    return trf_nonnegative(residuals, x0, max_nfev=200)
 
 
 @dataclass

@@ -32,6 +32,10 @@ GENERATION_FACTORS = {"r3": 0.72, "r4": 1.0, "m4": 0.95, "t2": 0.55}
 #: Default step-time coefficient of variation (paper: < 0.1).
 DEFAULT_COV = 0.05
 
+#: Memoised segment speed factors per model before the memo resets;
+#: each entry is one float per segment stream name.
+_FACTOR_CACHE_MAX = 1 << 15
+
 
 def throughput(instance: InstanceType) -> float:
     """Relative training throughput of an instance (1.0 reference).
@@ -67,7 +71,9 @@ class SpeedModel:
     ``seconds_per_step`` is the stable mean; ``sample_segment_speed``
     draws the realised speed of one VM deployment segment (lognormal,
     COV ≈ ``cov``), modelling the small run-to-run variation the
-    paper's profiling observes.
+    paper's profiling observes.  A segment's lognormal factor is the
+    first draw of a stream forked by the segment's name, so the model
+    memoises it per name.
     """
 
     seed: int = 0
@@ -77,6 +83,7 @@ class SpeedModel:
         if not 0.0 <= self.cov < 0.5:
             raise ValueError(f"cov must be in [0, 0.5): {self.cov}")
         self._rng = RngStream(self.seed, "speed")
+        self._factors: dict[str, float] = {}
 
     def seconds_per_step(
         self, instance: InstanceType, workload: WorkloadSpec, config: dict
@@ -97,11 +104,15 @@ class SpeedModel:
     ) -> float:
         """Realised seconds-per-step of one deployment segment."""
         mean = self.seconds_per_step(instance, workload, config)
-        stream = self._rng.fork(
-            f"{workload.name}/{config_id(config)}/{instance.name}/{segment_index}"
-        )
-        sigma = np.sqrt(np.log(1.0 + self.cov**2))
-        return float(mean * stream.generator.lognormal(-(sigma**2) / 2.0, sigma))
+        name = f"{workload.name}/{config_id(config)}/{instance.name}/{segment_index}"
+        factor = self._factors.get(name)
+        if factor is None:
+            sigma = np.sqrt(np.log(1.0 + self.cov**2))
+            factor = self._rng.fork(name).generator.lognormal(-(sigma**2) / 2.0, sigma)
+            if len(self._factors) >= _FACTOR_CACHE_MAX:
+                self._factors.clear()
+            self._factors[name] = factor
+        return float(mean * factor)
 
     def profile(
         self, instances: list[InstanceType], workload: WorkloadSpec, config: dict

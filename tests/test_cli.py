@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cli as cli_module
 from repro.cli import FIGURES, build_parser, main
 
 
@@ -25,12 +26,28 @@ class TestParser:
         assert args.days == 2.0
         assert args.out == "x.csv"
 
-    def test_tune_unknown_workload_exits_two(self, capsys):
+    @pytest.mark.parametrize(
+        "argv, messages",
+        [
+            (["tune", "--workload", "XYZ"], ["invalid choice: 'XYZ'", "LoR"]),
+            (["tune", "--theta", "1.5"], ["argument --theta: must be in (0, 1]: 1.5"]),
+            (["tune", "--theta", "0"], ["argument --theta: must be in (0, 1]: 0"]),
+            (["tune", "--theta", "nan"], ["argument --theta: must be in (0, 1]: nan"]),
+            (["trace", "--days", "0"], ["argument --days: must be a positive number of days: 0"]),
+        ],
+        ids=["tune-workload", "tune-theta-1.5", "tune-theta-0", "tune-theta-nan", "trace-days-0"],
+    )
+    def test_tune_unknown_workload_exits_two(self, capsys, monkeypatch, argv, messages):
+        # Argparse rejects the value before any context is built.
+        def no_context(*args, **kwargs):
+            raise AssertionError("built a context for an invalid argument")
+
+        monkeypatch.setattr(cli_module, "build_context", no_context)
         with pytest.raises(SystemExit) as exit_info:
-            main(["tune", "--workload", "XYZ"])
+            main(argv)
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
-        assert "invalid choice: 'XYZ'" in err and "LoR" in err
+        assert all(message in err for message in messages)
         assert "Traceback" not in err
 
     def test_command_required(self):

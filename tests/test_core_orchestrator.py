@@ -295,6 +295,16 @@ class TestAccountingInvariants:
             )
             if theta == 1.0:
                 assert record.finish_mode != "converged"
+            for segment in record.segments:
+                # Every segment's VM was settled, and a refund is only
+                # ever for a revocation inside the first hour.
+                assert isinstance(segment.refunded, bool)
+                if segment.refunded:
+                    assert segment.end - segment.start < HOUR
+            if record.finished_at is not None:
+                # The orchestrator terminated the last VM itself, which
+                # earns no refund.
+                assert record.segments[-1].refunded is False
         # Without refunds the same VMs run, nothing is refunded, and the
         # bill is what the refunded run paid plus what it got back.
         unrefunded = self._run(*args, refund_enabled=False)

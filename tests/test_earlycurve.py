@@ -1,8 +1,16 @@
 """Tests for stage detection, curve fitting, and the online predictor."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
+import repro.earlycurve.model as model_module
+import repro.earlycurve.trf as trf_module
 from repro.earlycurve.model import CurveFit, StagedCurveModel, fit_single_stage
 from repro.earlycurve.predictor import (
     EarlyCurvePredictor,
@@ -11,6 +19,8 @@ from repro.earlycurve.predictor import (
 )
 from repro.earlycurve.slaq import SlaqCurveModel
 from repro.earlycurve.stages import Stage, changing_rates, detect_stages
+from repro.workloads.catalog import BENCHMARK_WORKLOADS, get_workload
+from repro.workloads.trial import make_trials
 
 
 def single_stage_curve(n=200, floor=0.3, scale=0.02, noise=0.0, seed=0):
@@ -108,6 +118,105 @@ class TestSingleStageFit:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             fit_single_stage(np.arange(3.0), np.arange(4.0))
+
+
+class _OracleSolver:
+    """Stands in for ``fit_single_stage``'s solver: solves each stage
+    problem with the in-tree TRF and with scipy's ``least_squares``, and
+    records every problem on which their results differ in any bit."""
+
+    def __init__(self) -> None:
+        self.solves = 0
+        self.mismatches: list[tuple[int, list[float], list[float]]] = []
+
+    def __call__(self, residuals, x0, max_nfev):
+        solved = trf_module.trf_nonnegative(residuals, x0, max_nfev=max_nfev)
+        expected = least_squares(
+            residuals,
+            x0,
+            bounds=(np.zeros(4), np.full(4, np.inf)),
+            method="trf",
+            max_nfev=max_nfev,
+        ).x
+        self.solves += 1
+        if solved.tobytes() != expected.tobytes():
+            length = len(residuals(x0))
+            self.mismatches.append((length, solved.tolist(), expected.tolist()))
+        return solved
+
+    def failure(self) -> str:
+        return (
+            f"scipy {scipy.__version__}: {len(self.mismatches)} of {self.solves} stage "
+            f"fits differ from least_squares; first (length, in-tree, scipy): "
+            f"{self.mismatches[:1]}"
+        )
+
+
+@st.composite
+def metric_series(draw):
+    """A metric series of the shapes stage fits meet: clean and noisy
+    inverse-quadratic decays, constants, rising series, and ones near
+    zero, at a large scale or below zero."""
+    kind = draw(
+        st.sampled_from(
+            ["inverse_quadratic", "noisy", "constant", "rising", "near_zero", "large", "negative"]
+        )
+    )
+    length = draw(st.integers(min_value=4, max_value=700))
+    k = np.arange(1, length + 1, dtype=float)
+    a0 = draw(st.floats(min_value=0.0, max_value=1e-2))
+    a1 = draw(st.floats(min_value=1e-4, max_value=1.0))
+    a2 = draw(st.floats(min_value=0.5, max_value=20.0))
+    floor = draw(st.floats(min_value=0.0, max_value=2.0))
+    decay = 1.0 / (a0 * k**2 + a1 * k + a2) + floor
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(
+        0.0, draw(st.floats(min_value=1e-4, max_value=0.05)), length
+    )
+    if kind == "noisy":
+        return decay + noise
+    if kind == "constant":
+        return np.full(length, floor)
+    if kind == "rising":
+        return floor + a1 * np.log1p(k) + noise * 0.1
+    if kind == "near_zero":
+        return decay * 1e-9
+    if kind == "large":
+        return decay * 1e6
+    if kind == "negative":
+        return decay - 2.5 + noise
+    return decay
+
+
+class TestSolverMatchesScipy:
+    """``fit_single_stage`` solves with an in-tree copy of scipy's TRF;
+    every solve must equal ``least_squares(...).x`` bit for bit."""
+
+    def test_seed0_trial_stage_fits(self):
+        oracle = _OracleSolver()
+        crossing = mock.patch.object(
+            trf_module, "_step_size_to_bound", wraps=trf_module._step_size_to_bound
+        )
+        with mock.patch.object(model_module, "trf_nonnegative", oracle), crossing as steps:
+            for name in BENCHMARK_WORKLOADS:
+                workload = get_workload(name)
+                for trial in make_trials(workload, seed=0):
+                    table = trial.observation_table(workload.validate_every)
+                    for theta in (0.55, 0.7):
+                        cutoff = EarlyCurvePredictor(trial.max_trial_steps, theta).cutoff_step
+                        count = (cutoff - 1) // table.stride + 1
+                        StagedCurveModel().fit(table.values[:count])
+        assert oracle.solves > 200
+        assert steps.call_count > 0  # the reflective step was taken
+        assert not oracle.mismatches, oracle.failure()
+
+    @given(values=metric_series())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_generated_series(self, values):
+        oracle = _OracleSolver()
+        with mock.patch.object(model_module, "trf_nonnegative", oracle):
+            fit_single_stage(np.arange(1, len(values) + 1, dtype=float), values)
+        assert oracle.solves == 1
+        assert not oracle.mismatches, oracle.failure()
 
 
 class TestStagedVsSlaq:

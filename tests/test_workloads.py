@@ -1,5 +1,7 @@
 """Tests for workload specs, curves, speed model, and trials."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,32 @@ class TestSpeedModel:
         assert samples.mean() == pytest.approx(
             model.seconds_per_step(instance, workload, config), rel=0.02
         )
+
+    def test_memoised_draws_equal_fresh_draws(self):
+        # A segment's factor is the first draw of a stream forked by the
+        # segment's name, so one model answering repeated and
+        # interleaved names gives the bits a fresh model gives per call,
+        # and a same-named workload with another step time keeps its
+        # own mean.
+        lor = get_workload("LoR")
+        slower = dataclasses.replace(lor, base_seconds_per_step=3 * lor.base_seconds_per_step)
+        first, second = lor.configurations()[:2]
+        small, large = get_instance_type("r4.large"), get_instance_type("m4.4xlarge")
+        calls = [
+            (small, lor, first, 0),
+            (large, lor, second, 1),
+            (small, lor, first, 0),
+            (small, slower, first, 0),
+            (large, lor, second, 1),
+            (small, lor, first, 1),
+            (large, slower, second, 1),
+            (small, lor, first, 0),
+        ]
+        model = SpeedModel(seed=5)
+        reused = [model.sample_segment_speed(*call).hex() for call in calls]
+        fresh = [SpeedModel(seed=5).sample_segment_speed(*call).hex() for call in calls]
+        assert reused == fresh
+        assert reused[3] != reused[0]
 
     def test_profile_covers_pool(self):
         model = SpeedModel()
