@@ -53,6 +53,7 @@ from pathlib import Path
 
 from repro.analysis.context import build_context
 from repro.analysis.reporting import format_table
+from repro.market.synthetic import MIN_DAYS
 from repro.workloads.catalog import BENCHMARK_WORKLOADS
 
 FIGURES = ("fig1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10ab", "fig10c", "fig11", "fig12")
@@ -694,10 +695,15 @@ def _theta(text: str) -> float:
 
 
 def _days(text: str) -> float:
-    """``trace --days``: a positive, finite number of days."""
+    """``trace --days``: a finite number of days covering at least one
+    minute, the generator's shortest trace."""
     value = _number(text)
     if not 0.0 < value < float("inf"):
         raise argparse.ArgumentTypeError(f"must be a positive number of days: {text}")
+    if value < MIN_DAYS:
+        raise argparse.ArgumentTypeError(
+            f"must cover at least one minute ({MIN_DAYS:.6g} days): {text}"
+        )
     return value
 
 

@@ -14,7 +14,8 @@ each on its own spot VM) over the simulated cloud:
 * a job that reaches theta * max_trial_steps (or whose metric curve
   plateaus, when early shutdown is enabled) checkpoints and finishes;
 * waiting jobs are (re)deployed on the Provisioner's argmin-step-cost
-  instance, restoring from their checkpoint;
+  instance, restoring from their checkpoint; all the jobs waiting at
+  one tick are scored in one provisioning pass, in job order;
 * when every job is finished, EarlyCurve predicts each configuration's
   final metric and the top-mcnt are selected (lines 48-53); optionally
   the selected models then continue training from their checkpoints to
@@ -220,9 +221,13 @@ class SpotTuneOrchestrator:
             for job in self._jobs:
                 if not job.finished:
                     self._poll_job(job, now)
-            for job in self._jobs:
-                if not job.finished and job.vm is None and now >= job.busy_until:
-                    self._deploy(job, now)
+            waiting = [
+                job
+                for job in self._jobs
+                if not job.finished and job.vm is None and now >= job.busy_until
+            ]
+            if waiting:
+                self._deploy(waiting, now)
 
     def _poll_job(self, job: _Job, now: float) -> None:
         """One job's pass through Algorithm 1's event dispatch."""
@@ -418,36 +423,41 @@ class SpotTuneOrchestrator:
     # ------------------------------------------------------------------
     # Lifecycle transitions
     # ------------------------------------------------------------------
-    def _deploy(self, job: _Job, now: float) -> None:
-        decision = self.provisioner.get_best_instance(job.trial_id, now)
-        request = self.provider.request_spot(
-            decision.instance,
-            decision.max_price,
-            on_revocation=lambda vm, job=job: self._on_revoked(job, vm),
+    def _deploy(self, jobs: list[_Job], now: float) -> None:
+        """Deploy a tick's waiting jobs, in job order, from one batched
+        provisioning pass (see :meth:`Provisioner.get_best_instances`)."""
+        decisions = self.provisioner.get_best_instances(
+            [job.trial_id for job in jobs], now
         )
-        if not request.fulfilled:
-            return  # retry at the next poll with a fresh delta draw
-        vm = request.vm
-        assert vm is not None
-        job.vm = vm
-        job.vm_lost = False
-        job.decision = decision
-        job.vm_assigned_at = now
-        job.segment_index += 1
-        job.segment_sps = self.speed_model.sample_segment_speed(
-            decision.instance, self.workload, job.trial.config, job.segment_index
-        )
-        restore_duration = 0.0
-        if job.trial_id in self.store:
-            _, restore_duration = self.store.get(job.trial_id, decision.instance)
-            job.record.restore_time += restore_duration
-        job.anchor = now + restore_duration
-        job.steps_at_anchor = job.steps_done
-        segment = SegmentRecord(
-            vm_id=vm.vm_id, instance_name=decision.instance.name, start=now
-        )
-        job.record.segments.append(segment)
-        job.current_segment = segment
+        for job, decision in zip(jobs, decisions):
+            request = self.provider.request_spot(
+                decision.instance,
+                decision.max_price,
+                on_revocation=lambda vm, job=job: self._on_revoked(job, vm),
+            )
+            if not request.fulfilled:
+                continue  # retry at the next poll with a fresh delta draw
+            vm = request.vm
+            assert vm is not None
+            job.vm = vm
+            job.vm_lost = False
+            job.decision = decision
+            job.vm_assigned_at = now
+            job.segment_index += 1
+            job.segment_sps = self.speed_model.sample_segment_speed(
+                decision.instance, self.workload, job.trial.config, job.segment_index
+            )
+            restore_duration = 0.0
+            if job.trial_id in self.store:
+                _, restore_duration = self.store.get(job.trial_id, decision.instance)
+                job.record.restore_time += restore_duration
+            job.anchor = now + restore_duration
+            job.steps_at_anchor = job.steps_done
+            segment = SegmentRecord(
+                vm_id=vm.vm_id, instance_name=decision.instance.name, start=now
+            )
+            job.record.segments.append(segment)
+            job.current_segment = segment
 
     def _policy_context(self, job: _Job, now: float) -> PolicyContext:
         assert job.vm is not None

@@ -14,11 +14,20 @@ expected cost is zero when revoked within the hour because of the
 first-instance-hour refund — which is why SpotTune *favours* instances
 likely to be revoked.  The job deploys on the argmin step-cost
 instance with the drawn max price.
+
+The orchestrator asks once per poll tick, for every job waiting to
+deploy at it: :meth:`Provisioner.get_best_instances` draws all their
+deltas at once, scores the jobs x pool candidates in one predictor
+call, and computes both equations on ``(jobs, pool)`` arrays.  Each
+job's decision is exactly the one a call for that job alone, in job
+order, would make.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.cloud.instance import InstanceType
 from repro.cloud.provider import SimCloudProvider
@@ -85,58 +94,60 @@ class Provisioner:
         return self._quotes
 
     def get_best_instance(self, hp_id: str, t: float) -> ProvisionDecision:
-        """The instance with the lowest expected step cost right now.
+        """The instance with the lowest expected step cost right now."""
+        return self.get_best_instances([hp_id], t)[0]
 
-        Runs in three phases so the revocation probabilities for the
-        whole pool are scored as one batched pass per decision: (1) the
-        market quotes (memoised per instant) plus the sequential
-        max-price delta draws (the draw order is part of the
-        orchestrator's rng stream and must stay in pool order), (2) one
-        ``probability_many`` call over all candidates (a predictor bank
-        scores the cache misses in one stacked pass, see
-        CachingPredictor), (3) the Equation 1/2 economics and the
-        strict-``<`` argmin in pool order.  Every phase computes exactly
-        what the fused per-instance loop computed, so decisions are
-        bitwise-identical.
+    def get_best_instances(self, hp_ids: list[str], t: float) -> list[ProvisionDecision]:
+        """One decision per job in ``hp_ids``, scored in one pass.
+
+        Equal, field for field and draw for draw, to one
+        :meth:`get_best_instance` call per job in order: (1) the market
+        quotes (memoised per instant) and one ``(J, N)`` max-price delta
+        draw, which takes the same values as J x N scalar draws in
+        job-then-pool order; (2) one ``probability_many`` call over the
+        J x N candidates in that order (a caching predictor's first
+        query of a key still fixes its value, and a predictor bank
+        scores the misses in one stacked pass); (3) Equations 1 and 2
+        on float64 ``(J, N)`` arrays, the same expression per element
+        as a scalar loop, and the first minimum of each row, which a
+        strict-``<`` scan in pool order picks.
         """
         market = self._market_quotes()
-        quotes: list[tuple[InstanceType, float]] = []
-        for instance, current_price, _ in market:
-            delta = float(self.rng.uniform(self.delta_low, self.delta_high))
-            quotes.append((instance, current_price + delta))
+        current_prices = np.array([current for _, current, _ in market])
+        average_prices = np.array([average for _, _, average in market])
+        max_prices = current_prices + self.rng.uniform(
+            self.delta_low, self.delta_high, size=(len(hp_ids), len(self.pool))
+        )
+        max_price_rows = max_prices.tolist()
+        queries = [
+            (instance, t, max_price)
+            for row in max_price_rows
+            for instance, max_price in zip(self.pool, row)
+        ]
         probability_many = getattr(self.predictor, "probability_many", None)
         if probability_many is not None:
-            probabilities = probability_many(
-                [(instance, t, max_price) for instance, max_price in quotes]
-            )
+            probabilities = probability_many(queries)
         else:
-            probabilities = [
-                self.predictor.probability(instance, t, max_price)
-                for instance, max_price in quotes
-            ]
-        best: ProvisionDecision | None = None
-        candidates: dict[str, float] = {}
-        for (instance, max_price), probability, (_, _, average_price) in zip(
-            quotes, probabilities, market
-        ):
-            expected_hour_cost = (1.0 - probability) * average_price
-            step_cost = self.matrix.get(instance, hp_id) / 3600.0 * expected_hour_cost
-            candidates[instance.name] = step_cost
-            if best is None or step_cost < best.step_cost:
-                best = ProvisionDecision(
-                    instance=instance,
-                    max_price=max_price,
-                    revocation_probability=probability,
-                    expected_hour_cost=expected_hour_cost,
-                    step_cost=step_cost,
-                    candidates={},
-                )
-        assert best is not None
-        return ProvisionDecision(
-            instance=best.instance,
-            max_price=best.max_price,
-            revocation_probability=best.revocation_probability,
-            expected_hour_cost=best.expected_hour_cost,
-            step_cost=best.step_cost,
-            candidates=candidates,
+            probabilities = [self.predictor.probability(*query) for query in queries]
+        probabilities = np.array(probabilities, dtype=float).reshape(max_prices.shape)
+        hour_costs = (1.0 - probabilities) * average_prices
+        seconds_per_step = np.array(
+            [[self.matrix.get(instance, hp_id) for instance in self.pool] for hp_id in hp_ids],
+            dtype=float,
         )
+        step_costs = seconds_per_step / 3600.0 * hour_costs
+        names = [instance.name for instance in self.pool]
+        decisions = []
+        for row, best in enumerate(step_costs.argmin(axis=1).tolist()):
+            step_cost_row = step_costs[row].tolist()
+            decisions.append(
+                ProvisionDecision(
+                    instance=self.pool[best],
+                    max_price=max_price_rows[row][best],
+                    revocation_probability=float(probabilities[row, best]),
+                    expected_hour_cost=float(hour_costs[row, best]),
+                    step_cost=step_cost_row[best],
+                    candidates=dict(zip(names, step_cost_row)),
+                )
+            )
+        return decisions

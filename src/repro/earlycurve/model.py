@@ -130,5 +130,17 @@ class StagedCurveModel:
 
     def fit_predict(self, values: np.ndarray, target_step: float) -> float:
         """Fit on the observed prefix and predict the metric at
-        ``target_step`` (paper: the final metric at max_trial_steps)."""
-        return float(self.fit(values).predict(target_step))
+        ``target_step`` (paper: the final metric at max_trial_steps).
+
+        Equal to ``fit(values).predict(target_step)``.  The target must
+        lie in or past the last stage, whose fit is the only one such a
+        prediction reads, so only the last stage is fitted."""
+        values = np.asarray(values, dtype=float)
+        last = detect_stages(values, xi=self.xi, eps=self.eps)[-1]
+        if target_step < last.left:
+            raise ValueError(
+                f"target step {target_step} precedes the last stage [{last.left}, {last.right})"
+            )
+        k_local = np.arange(1, last.length + 1, dtype=float)
+        params = fit_single_stage(k_local, values[last.left : last.right])
+        return float(CurveFit(stages=[last], params=[params]).predict(target_step))

@@ -45,6 +45,7 @@ class PredictionOutcome:
     predicted_final: float
     mode: str  # "extrapolated", "converged", or "observed"
     observed_steps: int
+    #: The full staged fit; only the frozen reference predictor fills it.
     fit: Optional[CurveFit] = None
 
 
@@ -208,16 +209,15 @@ class EarlyCurvePredictor:
                 mode="converged",
                 observed_steps=self.observed_steps,
             )
-        fit = self.model.fit(np.asarray(self.values))
         # Observed points sit at indices 0..n-1 of the recorded series;
-        # translate the target step into the same index space.
+        # translate the target step into the same index space.  It lies
+        # past the last point, so only the last stage is fitted.
         points_per_step = len(self.values) / max(self.observed_steps, 1)
         target_index = self.max_trial_steps * points_per_step - 1.0
         return PredictionOutcome(
-            predicted_final=float(fit.predict(target_index)),
+            predicted_final=self.model.fit_predict(np.asarray(self.values), target_index),
             mode="extrapolated",
             observed_steps=self.observed_steps,
-            fit=fit,
         )
 
 

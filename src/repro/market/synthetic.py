@@ -198,6 +198,11 @@ DEFAULT_MARKET_PROFILES: dict[str, MarketModelParams] = {
 }
 
 
+#: The shortest span :meth:`SyntheticMarketGenerator.generate` accepts:
+#: one step of its one-minute latent grid.
+MIN_DAYS = MINUTE / DAY
+
+
 def params_for(instance_name: str) -> MarketModelParams:
     """Calibrated parameters for a known market, defaults otherwise."""
     return DEFAULT_MARKET_PROFILES.get(instance_name, MarketModelParams())
@@ -234,8 +239,8 @@ class SyntheticMarketGenerator:
         (clamped to [floor, cap], rounded to $0.0001), which yields the
         sparse change-only records of the source dataset.
         """
-        if days <= 0:
-            raise ValueError(f"days must be positive: {days}")
+        if not days >= MIN_DAYS:
+            raise ValueError(f"days must cover at least one minute ({MIN_DAYS:.6g}): {days}")
         p = params if params is not None else params_for(instance.name)
         rng = self._rng.fork(instance.name).generator
 

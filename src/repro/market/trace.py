@@ -49,6 +49,10 @@ class PriceTrace:
             raise ValueError("record timestamps must be strictly increasing")
         if np.any(self.prices <= 0):
             raise ValueError("spot prices must be positive")
+        # Every lookup checks against the bounds, so they are Python
+        # floats read once here rather than array items read per call.
+        self._start = float(self.times[0])
+        self._end = float(self.times[-1])
 
     # ------------------------------------------------------------------
     # Basic queries
@@ -56,22 +60,22 @@ class PriceTrace:
     @property
     def start(self) -> float:
         """Timestamp of the first record."""
-        return float(self.times[0])
+        return self._start
 
     @property
     def end(self) -> float:
         """Timestamp of the last record."""
-        return float(self.times[-1])
+        return self._end
 
     def __len__(self) -> int:
         return len(self.times)
 
     def _index_at(self, t: float) -> int:
-        if t < self.start:
+        if t < self._start:
             raise ValueError(
-                f"{self.instance_type}: query at {t} precedes first record {self.start}"
+                f"{self.instance_type}: query at {t} precedes first record {self._start}"
             )
-        return int(np.searchsorted(self.times, t, side="right") - 1)
+        return int(self.times.searchsorted(t, side="right")) - 1
 
     def price_at(self, t: float) -> float:
         """Market price in effect at time ``t``."""
@@ -94,8 +98,8 @@ class PriceTrace:
         ``(start, end]``."""
         if end < start:
             raise ValueError(f"empty window: ({start}, {end}]")
-        lo = np.searchsorted(self.times, start, side="right")
-        hi = np.searchsorted(self.times, end, side="right")
+        lo = self.times.searchsorted(start, side="right")
+        hi = self.times.searchsorted(end, side="right")
         return int(hi - lo)
 
     def mean_price_in(self, start: float, end: float) -> float:
@@ -106,16 +110,22 @@ class PriceTrace:
         hi = self._index_at(end)
         if lo == hi:
             return float(self.prices[lo])
-        boundaries = np.concatenate(([start], self.times[lo + 1 : hi + 1], [end]))
-        durations = np.diff(boundaries)
-        segment_prices = self.prices[lo : hi + 1]
-        return float(np.sum(durations * segment_prices) / (end - start))
+        # [start, the records inside, end], filled in place; its
+        # differences are the segments' durations.
+        count = hi - lo + 1
+        boundaries = np.empty(count + 1)
+        boundaries[0] = start
+        boundaries[1:count] = self.times[lo + 1 : hi + 1]
+        boundaries[count] = end
+        durations = boundaries[1:] - boundaries[:-1]
+        durations *= self.prices[lo : hi + 1]
+        return float(durations.sum() / (end - start))
 
     def max_price_in(self, start: float, end: float) -> float:
         """Maximum price in effect anywhere in ``[start, end]``."""
         lo = self._index_at(start)
         hi = self._index_at(end)
-        return float(np.max(self.prices[lo : hi + 1]))
+        return float(self.prices[lo : hi + 1].max())
 
     def first_time_above(self, threshold: float, start: float, end: float) -> float | None:
         """Earliest time in ``[start, end]`` at which the market price
@@ -127,9 +137,9 @@ class PriceTrace:
         """
         if self.price_at(start) > threshold:
             return float(start)
-        lo = np.searchsorted(self.times, start, side="right")
-        hi = np.searchsorted(self.times, end, side="right")
-        above = np.nonzero(self.prices[lo:hi] > threshold)[0]
+        lo = int(self.times.searchsorted(start, side="right"))
+        hi = int(self.times.searchsorted(end, side="right"))
+        above = (self.prices[lo:hi] > threshold).nonzero()[0]
         if above.size == 0:
             return None
         return float(self.times[lo + int(above[0])])

@@ -21,11 +21,13 @@ bitwise-identical to the frozen scalar core in
   stacked LSTM pass, the RevPred split forward, Tributary inference,
   the bank's stacked pass against the frozen per-query predictor,
   plateau counter, bulk curve lookup, the memoising predictor's batch
-  entry point, the oracle's peak-price memo, feature row memo, market
-  snapshots).
+  entry point, the per-tick provisioning pass against one-job calls and
+  the old per-instance loop, the oracle's peak-price memo, feature row
+  memo, market snapshots).
 """
 
 import dataclasses
+import functools
 import json
 from pathlib import Path
 
@@ -42,12 +44,16 @@ from repro.core.reference import (
     ReferenceEarlyCurvePredictor,
     ReferenceOrchestrator,
 )
-from repro.cloud.instance import get_instance_type
+from repro.cloud.instance import DEFAULT_INSTANCE_POOL, get_instance_type
+from repro.cloud.provider import SimCloudProvider
 from repro.core.config import SpotTuneConfig
+from repro.core.perf_matrix import PerformanceMatrix
+from repro.core.provisioner import ProvisionDecision, Provisioner
 from repro.earlycurve.predictor import EarlyCurvePredictor
+from repro.market.dataset import SpotPriceDataset
 from repro.market.features import FeatureExtractor
 from repro.market.labeling import will_be_revoked
-from repro.market.trace import HOUR
+from repro.market.trace import HOUR, PriceTrace
 from repro.nn.lstm import LSTM, infer_stacked
 from repro.revpred.model import RevPredNetwork
 from repro.revpred.predictor import (
@@ -61,6 +67,8 @@ from repro.revpred.trainer import (
     untrained_predictor_bank,
 )
 from repro.revpred.tributary import TributaryNetwork
+from repro.sim.events import Simulation
+from repro.sim.rng import RngStream
 from repro.sweep.cache import canonical_json
 from repro.workloads.catalog import get_workload
 from repro.workloads.curves import make_curve
@@ -440,13 +448,13 @@ class TestEarlyCurveMemo:
         from repro.earlycurve.model import StagedCurveModel
 
         fits = []
-        fit = StagedCurveModel.fit
+        fit_predict = StagedCurveModel.fit_predict
 
-        def counting_fit(self, values):
+        def counting_fit_predict(self, values, target_step):
             fits.append(len(values))
-            return fit(self, values)
+            return fit_predict(self, values, target_step)
 
-        monkeypatch.setattr(StagedCurveModel, "fit", counting_fit)
+        monkeypatch.setattr(StagedCurveModel, "fit_predict", counting_fit_predict)
         context = build_context(seed=0)
         context.spottune_run("SVM", 0.7, "oracle", "notice")
         first_fits = len(fits)
@@ -546,6 +554,165 @@ class TestProbabilityMany:
         assert values[2] == values[0] == bank.probability(r4l, midpoint, cheap)
         assert values[0] != bank.probability(r4l, midpoint, dear)
         assert values[1] == bank.probability(r4x, midpoint, 0.2)
+
+
+# ----------------------------------------------------------------------
+# One provisioning pass per poll tick
+# ----------------------------------------------------------------------
+_HP_IDS = tuple(f"hp{index}" for index in range(6))
+#: Markets the probability-only stub revokes for certain; their step
+#: costs all tie at zero.
+_CERTAIN_REVOCATION = ("r4.large", "r3.xlarge", "m4.2xlarge")
+
+
+class _ProbabilityOnly:
+    """A predictor without ``probability_many``."""
+
+    def probability(self, instance, t, max_price):
+        if instance.name in _CERTAIN_REVOCATION:
+            return 1.0
+        return min(max_price, 1.0)
+
+
+def _flat_dataset():
+    """Constant markets priced at 0.05 / CPUs: with the default
+    performance matrix (C0 x CPUs) and equal revocation probabilities,
+    every market's step cost is the same float (CPU counts are powers
+    of two, so the products are exact)."""
+    dataset = SpotPriceDataset()
+    for instance in DEFAULT_INSTANCE_POOL:
+        dataset.add(
+            PriceTrace(instance.name, np.array([0.0]), np.array([0.05 / instance.cpus]))
+        )
+    return dataset
+
+
+_FLAT_DATASET = _flat_dataset()
+
+
+@functools.lru_cache(maxsize=None)
+def _bank(flat):
+    """One untrained bank per dataset; its embedding memo is pure, so
+    twin predictors may share it."""
+    return untrained_predictor_bank(_FLAT_DATASET if flat else _PROPERTY_CONTEXT.dataset)
+
+
+def _scalar_decisions(provisioner, hp_ids, t):
+    """The per-job, per-instance scoring loop the batched pass
+    replaced, kept as the oracle: in pool order, draw a delta, score
+    the max price, and keep the first strict minimum step cost."""
+    decisions = []
+    for hp_id in hp_ids:
+        best = None
+        candidates = {}
+        for instance, current_price, average_price in provisioner._market_quotes():
+            delta = float(
+                provisioner.rng.uniform(provisioner.delta_low, provisioner.delta_high)
+            )
+            max_price = current_price + delta
+            probability = provisioner.predictor.probability(instance, t, max_price)
+            expected_hour_cost = (1.0 - probability) * average_price
+            step_cost = provisioner.matrix.get(instance, hp_id) / 3600.0 * expected_hour_cost
+            candidates[instance.name] = step_cost
+            if best is None or step_cost < best[-1]:
+                best = (instance, max_price, probability, expected_hour_cost, step_cost)
+        decisions.append(ProvisionDecision(*best, candidates=candidates))
+    return decisions
+
+
+class TestBatchedProvisioning:
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_batch_equals_one_job_calls(self, data):
+        """``get_best_instances`` equals one ``get_best_instance`` call
+        per job, in order, and the per-instance scalar loop: every field
+        of every decision, and the next draw of the stream after it.
+        Drawn: the market (the context's, or flat markets whose step
+        costs tie), a permuted pool, 1-16 jobs, observed matrix entries
+        and a predictor with and without ``probability_many``."""
+        flat = data.draw(st.booleans(), label="flat")
+        dataset = _FLAT_DATASET if flat else _PROPERTY_CONTEXT.dataset
+        kind = data.draw(st.sampled_from(["bank", "oracle", "probability-only"]))
+        pool = tuple(data.draw(st.permutations(DEFAULT_INSTANCE_POOL)))
+        pool = pool[: data.draw(st.sampled_from(range(1, len(pool) + 1)))]
+        hp_ids = data.draw(st.lists(st.sampled_from(_HP_IDS), min_size=1, max_size=16))
+        updates = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(pool),
+                    st.sampled_from(_HP_IDS),
+                    st.sampled_from([2.5, 10.0, 40.0]),
+                ),
+                max_size=12,
+            )
+        )
+        start = 2 * 86400.0 if flat else _PROPERTY_CONTEXT.replay_start
+        t = start + 10.0 * data.draw(st.integers(min_value=0, max_value=30_000))
+        seed = data.draw(st.integers(min_value=0, max_value=2**16))
+
+        def twin():
+            if kind == "bank":
+                predictor = CachingPredictor(_bank(flat))
+            elif kind == "oracle":
+                predictor = OraclePredictor(dataset)
+            else:
+                predictor = _ProbabilityOnly()
+            matrix = PerformanceMatrix(c0=5.0)
+            for instance, hp_id, seconds_per_step in updates:
+                matrix.update(instance, hp_id, seconds_per_step)
+            provider = SimCloudProvider(Simulation(start=t), dataset)
+            return Provisioner(pool, predictor, matrix, provider, RngStream(seed, "twin"))
+
+        batched, one_job, scalar = twin(), twin(), twin()
+        decisions = batched.get_best_instances(hp_ids, t)
+        assert decisions == [one_job.get_best_instance(hp_id, t) for hp_id in hp_ids]
+        assert decisions == _scalar_decisions(scalar, hp_ids, t)
+        for decision in decisions:
+            fields = (
+                decision.max_price,
+                decision.revocation_probability,
+                decision.expected_hour_cost,
+                decision.step_cost,
+                *decision.candidates.values(),
+            )
+            assert all(type(value) is float for value in fields)
+            assert list(decision.candidates) == [instance.name for instance in pool]
+            lowest = min(decision.candidates.values())
+            first = next(name for name, cost in decision.candidates.items() if cost == lowest)
+            assert decision.instance.name == first
+        assert batched.rng.uniform() == one_job.rng.uniform() == scalar.rng.uniform()
+
+    def test_flat_markets_tie_and_the_first_in_pool_order_wins(self):
+        pool = tuple(reversed(DEFAULT_INSTANCE_POOL))
+        provider = SimCloudProvider(Simulation(start=86400.0), _FLAT_DATASET)
+        provisioner = Provisioner(
+            pool, ConstantPredictor(0.5), PerformanceMatrix(c0=5.0), provider, RngStream(0)
+        )
+        for decision in provisioner.get_best_instances(list(_HP_IDS), 86400.0):
+            assert len(set(decision.candidates.values())) == 1
+            assert decision.instance == pool[0]
+
+    def test_one_pass_per_deploy_instant(self, context, monkeypatch):
+        """A revocation-heavy run (the constant-0 predictor) scores all
+        the jobs that deploy at one instant in one pass, and makes no
+        pass at an instant where no job deploys."""
+        calls = []
+        batch = Provisioner.get_best_instances
+
+        def counting(self, hp_ids, t):
+            calls.append((t, len(hp_ids)))
+            return batch(self, hp_ids, t)
+
+        monkeypatch.setattr(Provisioner, "get_best_instances", counting)
+        result = make_orchestrator(context, "LoR", 0.7, ConstantPredictor(0.0)).run()
+        starts = [
+            segment.start
+            for record in result.jobs.values()
+            for segment in record.segments
+        ]
+        assert [t for t, _ in calls] == sorted(set(starts))
+        assert sum(count for _, count in calls) == len(starts)
+        assert max(count for _, count in calls) > 1
 
 
 class TestOracleMemo:

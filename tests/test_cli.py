@@ -34,8 +34,16 @@ class TestParser:
             (["tune", "--theta", "0"], ["argument --theta: must be in (0, 1]: 0"]),
             (["tune", "--theta", "nan"], ["argument --theta: must be in (0, 1]: nan"]),
             (["trace", "--days", "0"], ["argument --days: must be a positive number of days: 0"]),
+            (["trace", "--days", "0.0001"], ["argument --days: must cover at least one minute"]),
         ],
-        ids=["tune-workload", "tune-theta-1.5", "tune-theta-0", "tune-theta-nan", "trace-days-0"],
+        ids=[
+            "tune-workload",
+            "tune-theta-1.5",
+            "tune-theta-0",
+            "tune-theta-nan",
+            "trace-days-0",
+            "trace-days-under-a-minute",
+        ],
     )
     def test_tune_unknown_workload_exits_two(self, capsys, monkeypatch, argv, messages):
         # Argparse rejects the value before any context is built.

@@ -351,7 +351,7 @@ class TestNoticeDeadline:
             start_time=START,
         )
         job = orchestrator._jobs[0]
-        orchestrator._deploy(job, START)
+        orchestrator._deploy([job], START)
         assert job.vm is not None
         return orchestrator, job
 

@@ -219,6 +219,75 @@ class TestSolverMatchesScipy:
         assert not oracle.mismatches, oracle.failure()
 
 
+@st.composite
+def staged_series(draw):
+    """A metric series of one to three stages, and that count.  Each
+    stage decays within (0.5, 1] of its scale; every stage but the last
+    ends on six equal points, and the next scale is at most a fifth of
+    it, so the next stage opens with a drop past Equation 7's xi right
+    after a steady window."""
+    count = draw(st.integers(min_value=1, max_value=3))
+    scale = draw(st.floats(min_value=0.1, max_value=50.0))
+    stages = []
+    for index in range(count):
+        length = draw(st.integers(min_value=1 if index == count - 1 else 4, max_value=250))
+        k = np.arange(1, length + 1, dtype=float)
+        rate = draw(st.floats(min_value=1e-3, max_value=1.0))
+        values = scale * (0.5 + 0.5 / (rate * k + 1.0))
+        if index < count - 1:
+            values = np.concatenate([values, np.full(6, values[-1])])
+            scale *= draw(st.floats(min_value=0.01, max_value=0.2))
+        elif draw(st.booleans()):
+            noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            values = values + noise.normal(0.0, 0.002 * scale, length)
+        stages.append(values)
+    return np.concatenate(stages), count
+
+
+class TestExtrapolate:
+    """``StagedCurveModel.fit_predict`` fits only the last stage and
+    must equal the full staged fit's prediction bit for bit."""
+
+    @given(series=staged_series(), data=st.data())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_generated_series(self, series, data):
+        values, count = series
+        model = StagedCurveModel()
+        stages = detect_stages(values)
+        assert len(stages) == count
+        last = stages[-1].left
+        targets = [
+            float(last),
+            len(values) - 1.0,
+            len(values) - 1.0 + data.draw(st.floats(min_value=0.0, max_value=5.0 * len(values))),
+        ]
+        for target in targets:
+            assert model.fit_predict(values, target) == model.fit(values).predict(target)
+        if count > 1:
+            with pytest.raises(ValueError):
+                model.fit_predict(values, last - 0.5)
+
+    def test_seed0_cutoff_prefixes(self):
+        """Every prefix an EarlyCurve prediction of seed 0 fits at theta
+        0.55 and 0.7, at the target index ``predict_final`` uses."""
+        model = StagedCurveModel()
+        multi_stage = 0
+        for name in BENCHMARK_WORKLOADS:
+            workload = get_workload(name)
+            for trial in make_trials(workload, seed=0):
+                table = trial.observation_table(workload.validate_every)
+                for theta in (0.55, 0.7):
+                    cutoff = EarlyCurvePredictor(trial.max_trial_steps, theta).cutoff_step
+                    count = (cutoff - 1) // table.stride + 1
+                    values = table.values[:count]
+                    points_per_step = count / max(table.step(count), 1)
+                    target = trial.max_trial_steps * points_per_step - 1.0
+                    fit = model.fit(values)
+                    multi_stage += fit.num_stages > 1
+                    assert model.fit_predict(values, target) == fit.predict(target)
+        assert multi_stage > 0
+
+
 class TestStagedVsSlaq:
     def test_earlycurve_beats_slaq_on_staged_curve(self):
         # The Fig. 11 claim: one-stage fitting has significantly higher

@@ -6,6 +6,7 @@ import pytest
 from repro.cloud.instance import get_instance_type
 from repro.market.synthetic import (
     DEFAULT_MARKET_PROFILES,
+    MIN_DAYS,
     MarketModelParams,
     SyntheticMarketGenerator,
     params_for,
@@ -51,6 +52,16 @@ class TestGeneration:
     def test_rejects_nonpositive_days(self):
         with pytest.raises(ValueError):
             SyntheticMarketGenerator(0).generate(get_instance_type("r4.large"), days=0)
+
+    def test_rejects_days_under_one_minute(self):
+        # Half a minute used to round to an empty latent grid and fail
+        # with an IndexError; one minute is the shortest trace.
+        generator = SyntheticMarketGenerator(0)
+        instance = get_instance_type("r4.large")
+        for days in (0.0001, 0.5 * MIN_DAYS, float("nan")):
+            with pytest.raises(ValueError, match="at least one minute"):
+                generator.generate(instance, days=days)
+        assert len(generator.generate(instance, days=MIN_DAYS)) == 1
 
     def test_records_are_sparse(self, m4_trace):
         # Stable market: far fewer change records than minutes.

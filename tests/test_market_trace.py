@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.market.trace import HOUR, MINUTE, PriceTrace
@@ -175,3 +175,137 @@ class TestTraceProperties:
         np.testing.assert_array_equal(
             trace.price_at_many(probes), compressed.price_at_many(probes)
         )
+
+
+# The lookups as they read before they called ``ndarray.searchsorted``
+# directly, cached the trace's bounds and filled ``mean_price_in``'s
+# boundary vector in place: the oracle the current lookups must equal
+# bit for bit.
+def _index_at_oracle(trace, t):
+    if t < float(trace.times[0]):
+        raise ValueError(f"query at {t} precedes first record")
+    return int(np.searchsorted(trace.times, t, side="right") - 1)
+
+
+def _price_at_oracle(trace, t):
+    return float(trace.prices[_index_at_oracle(trace, t)])
+
+
+def _changes_in_oracle(trace, start, end):
+    if end < start:
+        raise ValueError(f"empty window: ({start}, {end}]")
+    lo = np.searchsorted(trace.times, start, side="right")
+    hi = np.searchsorted(trace.times, end, side="right")
+    return int(hi - lo)
+
+
+def _mean_price_in_oracle(trace, start, end):
+    if end <= start:
+        return _price_at_oracle(trace, start)
+    lo = _index_at_oracle(trace, start)
+    hi = _index_at_oracle(trace, end)
+    if lo == hi:
+        return float(trace.prices[lo])
+    boundaries = np.concatenate(([start], trace.times[lo + 1 : hi + 1], [end]))
+    durations = np.diff(boundaries)
+    segment_prices = trace.prices[lo : hi + 1]
+    return float(np.sum(durations * segment_prices) / (end - start))
+
+
+def _max_price_in_oracle(trace, start, end):
+    lo = _index_at_oracle(trace, start)
+    hi = _index_at_oracle(trace, end)
+    return float(np.max(trace.prices[lo : hi + 1]))
+
+
+def _first_time_above_oracle(trace, threshold, start, end):
+    if _price_at_oracle(trace, start) > threshold:
+        return float(start)
+    lo = np.searchsorted(trace.times, start, side="right")
+    hi = np.searchsorted(trace.times, end, side="right")
+    above = np.nonzero(trace.prices[lo:hi] > threshold)[0]
+    if above.size == 0:
+        return None
+    return float(trace.times[lo + int(above[0])])
+
+
+def _outcome(lookup, *args):
+    """A lookup's result as exact bytes (with its type), or the error
+    type it raised."""
+    try:
+        value = lookup(*args)
+    except ValueError:
+        return ValueError
+    if isinstance(value, float):
+        return float, np.float64(value).tobytes()
+    return type(value), value
+
+
+@st.composite
+def _lookup_traces(draw):
+    """Traces whose record times and prices carry full float precision."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    origin = draw(st.floats(min_value=-1e6, max_value=1e6))
+    gaps = draw(st.lists(st.floats(min_value=1e-3, max_value=900.0), min_size=n, max_size=n))
+    times = origin + np.cumsum(np.asarray(gaps))
+    assume(np.all(np.diff(times) > 0))
+    prices = draw(st.lists(st.floats(min_value=1e-4, max_value=100.0), min_size=n, max_size=n))
+    return PriceTrace("prop", times, np.asarray(prices))
+
+
+def _point(data, trace):
+    """A query time: a record time, the start or end, a point inside a
+    segment, or anywhere from before the start to past the end."""
+    times = trace.times
+    kind = data.draw(st.sampled_from(["record", "start", "end", "inside", "any"]))
+    if kind == "record":
+        return float(data.draw(st.sampled_from(list(times))))
+    if kind == "start":
+        return trace.start
+    if kind == "end":
+        return trace.end
+    if kind == "inside":
+        index = data.draw(st.integers(min_value=0, max_value=len(times) - 1))
+        right = times[index + 1] if index + 1 < len(times) else times[index] + 100.0
+        return float(times[index] + (right - times[index]) * data.draw(st.floats(0.0, 0.999)))
+    return data.draw(st.floats(min_value=trace.start - 50.0, max_value=trace.end + HOUR))
+
+
+class TestLookupsMatchOracle:
+    @given(trace=_lookup_traces(), data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bit_for_bit(self, trace, data):
+        """Windows that start and end in one segment (``lo == hi``), on
+        record times, at the trace's start and end, reversed, and
+        before the first record."""
+        start = _point(data, trace)
+        shape = data.draw(st.sampled_from(["any", "same_segment", "empty", "reversed"]))
+        if shape == "same_segment":
+            index = int(np.searchsorted(trace.times, start, side="right")) - 1
+            right = trace.times[index + 1] if 0 <= index < len(trace) - 1 else start + 100.0
+            end = float(start + (right - start) * data.draw(st.floats(0.0, 0.999)))
+        elif shape == "empty":
+            end = start
+        else:
+            end = _point(data, trace)
+            if (shape == "reversed") != (end < start):
+                start, end = end, start
+        threshold = data.draw(
+            st.one_of(
+                st.sampled_from([float(price) for price in trace.prices]),
+                st.floats(min_value=1e-4, max_value=100.0),
+            )
+        )
+        assert trace.start == float(trace.times[0])
+        assert trace.end == float(trace.times[-1])
+        pairs = [
+            (trace.price_at, _price_at_oracle, (start,)),
+            (trace.price_at, _price_at_oracle, (end,)),
+            (trace.changes_in, _changes_in_oracle, (start, end)),
+            (trace.mean_price_in, _mean_price_in_oracle, (start, end)),
+            (trace.max_price_in, _max_price_in_oracle, (start, end)),
+            (trace.first_time_above, _first_time_above_oracle, (threshold, start, end)),
+        ]
+        for lookup, oracle, args in pairs:
+            expected = _outcome(lambda *a: oracle(trace, *a), *args)
+            assert _outcome(lookup, *args) == expected, (lookup.__name__, args)
