@@ -535,14 +535,13 @@ def _run_top(args: argparse.Namespace) -> int:
     if not queue_root.is_dir():
         print(f"no queue directory at {queue_root}", file=sys.stderr)
         return 2
-    # A bare handle: the scan methods need no manifest, and a fleet
-    # view must never mutate queue state.
-    queue = TaskQueue(queue_root)
+    # A bare handle: a census needs no manifest, and a fleet view
+    # must never mutate queue state.
+    census = TaskQueue(queue_root).census()
     print(
-        f"queue {queue_root}: depth={len(queue.pending_names())} "
-        f"inflight={len(queue.inflight_names())} "
-        f"done={len(queue.done_names())} "
-        f"quarantined={len(queue.failure_names())}",
+        f"queue {queue_root}: depth={census['pending']} "
+        f"inflight={census['inflight']} done={census['done']} "
+        f"quarantined={census['quarantined']}",
         flush=True,
     )
     snapshots = obs_publish.load_snapshots(queue_root)
@@ -940,7 +939,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # Flushed here, where a reader that closed early is caught,
+        # not at interpreter exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # `repro sweep` catches its own, to add the --resume hint.
+        return _output_closed(
+            f"the reader stopped before `repro {args.command}` finished"
+        )
 
 
 if __name__ == "__main__":

@@ -118,9 +118,9 @@ class JobRegistry:
         lease_ttl / max_attempts: Per-job queue policy defaults.
         poll_interval: Tail cadence for job runner threads.
         fsync: Durability of registry and queue publishes.
-        adopt: Re-adopt jobs left ``running`` by a previous server
-            process (resume semantics).  Disable only in tests that
-            stage registry state by hand.
+
+    Jobs a previous server process left ``running`` are re-adopted on
+    construction (resume semantics).
     """
 
     def __init__(
@@ -132,7 +132,6 @@ class JobRegistry:
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         poll_interval: float = 0.1,
         fsync: bool = True,
-        adopt: bool = True,
     ) -> None:
         if not isinstance(cache, SweepCache):
             cache = SweepCache(cache, fsync=fsync)
@@ -151,11 +150,7 @@ class JobRegistry:
         #: in-flight telemetry (supervisor restart counts) a durable
         #: record can only have after the job settles.
         self._runners: dict[str, DistributedSweepRunner] = {}
-        #: Why each stop was set ("cancel" drains and retires the
-        #: queue; "shutdown" leaves the job adoptable).
-        self._stop_reasons: dict[str, str] = {}
-        if adopt:
-            self._adopt_running_jobs()
+        self._adopt_running_jobs()
 
     # -- paths ----------------------------------------------------------
     def job_dir(self, job_id: str) -> Path:
@@ -362,11 +357,13 @@ class JobRegistry:
             self._write_record(record)
 
     def _job_telemetry(self, job_id: str) -> dict:
-        """Final restart/lost-lease counts, persisted into the record
-        so a settled job's status keeps them after its queue retires.
-        A done job's queue is already gone, so the snapshot merge the
-        coordinator kept (:attr:`DistributedSweepRunner.fleet_metrics`)
-        is read first; a failed job's queue survives and is read live.
+        """Restart and lost-lease counts: :meth:`status` reads them
+        live while the job runs, and :meth:`_finish` persists them into
+        the record, so a settled job's status keeps them after its
+        queue retires.  A done job's queue is already gone, so the
+        snapshot merge the coordinator kept
+        (:attr:`DistributedSweepRunner.fleet_metrics`) is read first;
+        otherwise the queue's snapshots are read live.
         """
         runner = self._runners.get(job_id)
         supervisor = getattr(runner, "_supervisor", None)
@@ -482,52 +479,20 @@ class JobRegistry:
         """The job record plus live queue depth and ledger counts."""
         record = self.job(job_id)
         queue_dir = self.queue_dir(job_id)
-        queue_stats = {
-            "pending": 0,
-            "inflight": 0,
-            "done": 0,
-            "quarantined": 0,
-            "ledger_attempts": 0,
-        }
-        if queue_dir.exists():
-            # A bare handle: the scan methods need no manifest, and a
-            # status probe must never mutate queue state.
-            queue = TaskQueue(queue_dir, lease_ttl=record["lease_ttl"])
-            failure_names = queue.failure_names()
-            attempts = 0
-            for name in failure_names:
-                entry = queue.failure_entry(name) or {}
-                attempts += len(entry.get("attempts", []))
-            queue_stats = {
-                "pending": len(queue.pending_names()),
-                "inflight": len(queue.inflight_names()),
-                "done": len(queue.done_names()),
-                "quarantined": len(failure_names),
-                "ledger_attempts": attempts,
-            }
         events, _ = self.events_page(job_id)
         status = dict(record)
         status["completed"] = len(events)
-        status["queue"] = queue_stats
+        # A bare handle: a census needs no manifest, never mutates
+        # queue state, and reads a retired (absent) queue as empty.
+        status["queue"] = TaskQueue(queue_dir).census()
         status["queue_dir"] = str(queue_dir)
         # Telemetry: live values while the job runs (supervisor counts,
         # worker snapshots), the persisted record's after it settles.
-        runner = self._runners.get(job_id)
-        supervisor = getattr(runner, "_supervisor", None)
-        if record["state"] not in TERMINAL_STATES and supervisor is not None:
-            status["worker_restarts"] = int(supervisor.restart_count)
-        else:
+        if record["state"] in TERMINAL_STATES:
             status["worker_restarts"] = int(record.get("worker_restarts", 0))
-        if record["state"] not in TERMINAL_STATES and queue_dir.exists():
-            status["lost_leases"] = sum(
-                _counter_total(
-                    payload.get("metrics") or {},
-                    "repro_lease_overthrows_total",
-                )
-                for payload in obs_publish.load_snapshots(queue_dir)
-            )
-        else:
             status["lost_leases"] = int(record.get("lost_leases", 0))
+        else:
+            status.update(self._job_telemetry(job_id))
         return status
 
     def result_text(self, job_id: str) -> str:
@@ -559,7 +524,6 @@ class JobRegistry:
         stop = self._stops.get(job_id)
         thread = self._threads.get(job_id)
         if stop is not None:
-            self._stop_reasons[job_id] = "cancel"
             stop.set()
         if thread is not None:
             thread.join(timeout=60.0)
@@ -572,16 +536,12 @@ class JobRegistry:
             # stopping: that outcome stands.
             return record
         queue_dir = self.queue_dir(job_id)
-        pending = inflight = 0
-        if queue_dir.exists():
-            queue = TaskQueue(queue_dir, lease_ttl=record["lease_ttl"])
-            pending = len(queue.pending_names())
-            inflight = len(queue.inflight_names())
+        census = TaskQueue(queue_dir).census()
         events, _ = self.events_page(job_id)
         ledger = {
             "reason": "cancel",
-            "pending": pending,
-            "inflight": inflight,
+            "pending": census["pending"],
+            "inflight": census["inflight"],
             "completed": len(events),
             "total": record["total"],
         }
@@ -603,8 +563,7 @@ class JobRegistry:
         job records — a job still ``running`` on disk is exactly what
         the next server's adoption pass looks for.
         """
-        for job_id, stop in list(self._stops.items()):
-            self._stop_reasons.setdefault(job_id, "shutdown")
+        for stop in list(self._stops.values()):
             stop.set()
         for thread in list(self._threads.values()):
             thread.join(timeout=timeout)

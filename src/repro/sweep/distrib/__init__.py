@@ -6,16 +6,18 @@ drain one scenario grid:
 
 * :mod:`repro.sweep.distrib.queue` — the broker directory
   (:class:`TaskQueue`): claim-by-atomic-rename, expiry-triggered
-  re-lease, done records, the ``failures/`` quarantine ledger;
-* :mod:`repro.sweep.distrib.lease` — :class:`Lease` handles and the
+  re-lease, task files, done records, the ``failures/`` quarantine
+  ledger, and the per-state census;
+* :mod:`repro.sweep.distrib.lease` — :class:`Lease` handles (each
+  builds its attempt-history and quarantine-ledger entries) and the
   :class:`Heartbeat` renewal thread;
 * :mod:`repro.sweep.distrib.worker` — the ``repro sweep-worker`` loop
   (:class:`SweepWorker`);
 * :mod:`repro.sweep.distrib.coordinator` — the ``repro sweep
   --distributed`` side (:class:`DistributedSweepRunner`): enqueue,
-  tail, assemble;
-* :mod:`repro.sweep.distrib.retry` — retry budgets, the deterministic
-  backoff schedule, and quarantine-ledger records;
+  reconcile against the cache, tail, assemble;
+* :mod:`repro.sweep.distrib.retry` — retry budgets and the
+  deterministic backoff schedule;
 * :mod:`repro.sweep.distrib.supervisor` — the self-healing local
   fleet (:class:`WorkerSupervisor`);
 * :mod:`repro.sweep.distrib.faults` — the deterministic
@@ -37,7 +39,6 @@ from repro.sweep.distrib.coordinator import (
     DistributedSweepRunner,
     SweepCancelled,
     spawn_local_worker,
-    tail_done_records,
 )
 from repro.sweep.distrib.faults import FaultPlan, FaultRule, InjectedFault
 from repro.sweep.distrib.lease import Heartbeat, Lease
@@ -78,6 +79,5 @@ __all__ = [
     "backoff_delay",
     "default_worker_id",
     "spawn_local_worker",
-    "tail_done_records",
     "task_name",
 ]

@@ -22,6 +22,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Iterable, Optional, Union
@@ -31,7 +32,12 @@ from repro.obs import publish as obs_publish
 from repro.sweep.banks import BankCache
 from repro.sweep.cache import SweepCache
 from repro.sweep.distrib.faults import FaultPlan
-from repro.sweep.distrib.queue import DEFAULT_LEASE_TTL, TaskQueue
+from repro.sweep.distrib.queue import (
+    DEFAULT_LEASE_TTL,
+    TaskQueue,
+    done_record,
+    task_name,
+)
 from repro.sweep.distrib.retry import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_BACKOFF_CAP,
@@ -107,195 +113,6 @@ class AdaptiveDelay:
         return self._delay
 
 
-def tail_done_records(
-    queue,
-    cache: SweepCache,
-    by_name: dict,
-    rank: dict,
-    outstanding: set,
-    emit,
-    failures: list,
-    failure_details: list,
-    *,
-    poll_interval: float = 0.2,
-    fail_fast: bool = False,
-    timeout: Optional[float] = None,
-    supervisor=None,
-    completion_records: Optional[dict] = None,
-    stop=None,
-) -> None:
-    """Stream done records into ``emit`` until the queue drains.
-
-    The one tail implementation every consumer shares — the
-    ``repro sweep --distributed`` coordinator and the ``repro serve``
-    job runner alike — so the shared-mount visibility grace, the
-    adaptive idle backoff, the expired-lease reclaim, and the
-    vanished-task self-heal exist exactly once.
-
-    ``outstanding`` is mutated in place: whatever remains when the
-    function returns is what did not finish (non-empty only on
-    ``fail_fast`` or a ``stop``).  ``stop`` is an optional
-    :class:`threading.Event`; setting it makes the tail return at the
-    next poll without touching queue state, so a cancel is graceful by
-    construction.  ``timeout`` (seconds) bounds the loop for tests.
-    """
-    seen = set(by_name) - outstanding  # cache hits already emitted
-    deadline = None if timeout is None else time.monotonic() + timeout
-    # On a shared mount (NFS/EFS) a done record can become visible
-    # to this machine before the worker's cache summary does
-    # (attribute/negative-entry caching): give a missing summary a
-    # grace window before declaring the cell broken.
-    summary_grace = max(10.0, 4 * poll_interval)
-    summary_missing_since: dict[str, float] = {}
-    # Adaptive poll: tight while records arrive, decaying toward the
-    # grace window when idle — a coordinator tailing a slow remote
-    # fleet stops burning a scan per poll_interval, yet reacts at full
-    # speed the moment completions stream again.
-    idle = AdaptiveDelay(poll_interval, summary_grace)
-
-    def note_done(name: str) -> None:
-        # Done-record tail latency: how long the record sat on the
-        # mount before this tail consumed it.  A *difference* of
-        # wall-clock readings (mount mtime vs. now), clamped at zero
-        # against skew — never an absolute deadline.
-        try:
-            age = time.time() - os.stat(queue.done_dir / name).st_mtime
-        except (OSError, AttributeError, TypeError):
-            return
-        obs.observe("repro_coordinator_tail_latency_seconds", max(0.0, age))
-
-    while outstanding:
-        if stop is not None and stop.is_set():
-            return
-        progressed = False
-        for name in queue.done_names():
-            if name in seen or name not in by_name:
-                continue
-            scenario = by_name[name]
-            record = queue.done_record(name) or {}
-            if record.get("ok"):
-                summary = cache.load(scenario)
-                if summary is None:
-                    first = summary_missing_since.setdefault(
-                        name, time.monotonic()
-                    )
-                    if time.monotonic() - first < summary_grace:
-                        continue  # keep outstanding; re-poll
-                    seen.add(name)
-                    note_done(name)
-                    outstanding.discard(name)
-                    progressed = True
-                    if completion_records is not None:
-                        completion_records[name] = record
-                    failures.append(
-                        (scenario, "completed cell missing from the result cache")
-                    )
-                    failure_details.append(queue.failure_entry(name))
-                    continue
-                summary_missing_since.pop(name, None)
-                seen.add(name)
-                note_done(name)
-                outstanding.discard(name)
-                progressed = True
-                if completion_records is not None:
-                    completion_records[name] = record
-                emit(
-                    CellResult(
-                        scenario,
-                        summary,
-                        # A re-lease that found its predecessor's
-                        # summary already persisted did not execute.
-                        cached=bool(record.get("from_cache")),
-                        bank_trainings=int(record.get("bank_trainings", 0)),
-                        seconds=float(record.get("seconds", 0.0) or 0.0),
-                        attempt=int(record.get("attempt", 1) or 1),
-                    )
-                )
-            else:
-                seen.add(name)
-                note_done(name)
-                outstanding.discard(name)
-                progressed = True
-                if completion_records is not None:
-                    completion_records[name] = record
-                failures.append(
-                    (scenario, record.get("error") or "worker reported failure")
-                )
-                failure_details.append(queue.failure_entry(name))
-        if failures and fail_fast:
-            # Abort the tail: the queue (leases, pending tasks,
-            # records) survives as-is for post-mortem or --resume.
-            return
-        if not outstanding:
-            break
-        queue.reclaim_expired()
-        if supervisor is not None:
-            restarted = supervisor.tick()
-            if restarted:
-                obs.inc("repro_worker_restarts_total", restarted)
-        # Self-heal vanished tasks: an outstanding cell with no
-        # task, lease, or done record cannot finish on its own (a
-        # worker quarantined its corrupt task file, or someone
-        # deleted it) — rewrite the task from the manifest.  The
-        # scan order (tasks, then in-flight leases including
-        # claim-temps, then done) matches the claim and completion
-        # transitions, so a cell mid-move is always seen in at
-        # least one of the three.
-        pending = queue.pending_names()
-        obs.set_gauge("repro_queue_depth", len(pending))
-        present = (
-            set(pending)
-            | set(queue.inflight_names())
-            | set(queue.done_names())
-        )
-        for name in outstanding - present:
-            queue.ensure_pending(name, by_name[name], rank[name])
-            obs.inc("repro_coordinator_heals_total")
-        # A locally-spawned fleet that has died entirely — every
-        # slot's process exited *and* every slot's restart budget
-        # is spent — can never drain the queue; a worker only exits
-        # this early on a crash (clean exits need the sweep
-        # complete or the queue retired), so hanging silently would
-        # hide a real failure.  External fleets (jobs=0, or anyone
-        # holding a live lease) are unaffected — and a cell whose
-        # done record landed after this iteration's scan (`present`
-        # sees it) is not grounds to raise: the next iteration
-        # consumes it.
-        if (
-            supervisor is not None
-            and supervisor.fleet_dead()
-            and not queue.inflight_names()
-            and outstanding - set(queue.done_names())
-        ):
-            raise RuntimeError(
-                f"local sweep-worker fleet died (restarted "
-                f"{supervisor.restart_count} time(s), budget spent) with "
-                f"{len(outstanding)} cell(s) outstanding "
-                f"(queue: {queue.root}); see {queue.root / 'logs'} for "
-                "worker output; external workers can still drain it, "
-                "or rerun to respawn the local fleet"
-            )
-        if deadline is not None and time.monotonic() > deadline:
-            raise TimeoutError(
-                f"distributed sweep timed out with {len(outstanding)} cell(s) "
-                f"outstanding (queue: {queue.root})"
-            )
-        if progressed:
-            idle.progress()
-        else:
-            idle.idle()
-        delay = idle.current
-        if supervisor is not None and supervisor.pending_restart():
-            # Never let the idle backoff postpone a self-heal.
-            delay = poll_interval
-        if stop is not None:
-            # A stop must interrupt the sleep too, or a cancel waits
-            # out a full idle backoff before being noticed.
-            stop.wait(delay)
-        else:
-            time.sleep(delay)
-
-
 def spawn_local_worker(
     queue_root: Path,
     poll_interval: float = 0.2,
@@ -353,15 +170,15 @@ class DistributedSweepRunner:
         max_attempts: Per-task retry budget (manifest-recorded, so the
             whole fleet agrees); a cell failing this many attempts is
             quarantined into ``queue/failures/``.
-        backoff_base / backoff_cap: Retry backoff schedule, seconds.
+        backoff_base: First retry delay in seconds, in
+            ``(0, DEFAULT_BACKOFF_CAP]``; it doubles per attempt up to
+            the cap.
         fail_fast: Abort the tail on the first failed cell instead of
             draining the surviving grid.
         fault_plan: A :class:`FaultPlan`, or a path to its JSON, to
             rehearse outages — threaded through this coordinator's
             queue handle and every locally-spawned worker.
         fsync: Durability of queue/cache publishes (manifest-recorded).
-        max_restarts: Per-slot respawn budget for the local fleet's
-            :class:`WorkerSupervisor`.
     """
 
     def __init__(
@@ -375,11 +192,9 @@ class DistributedSweepRunner:
         poll_interval: float = 0.2,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         fail_fast: bool = False,
         fault_plan: Union[str, Path, FaultPlan, None] = None,
         fsync: bool = True,
-        max_restarts: Optional[int] = None,
     ) -> None:
         if cache is None:
             raise ValueError("distributed sweeps require a result cache")
@@ -389,6 +204,13 @@ class DistributedSweepRunner:
             raise ValueError(f"lease-ttl must be positive: {lease_ttl}")
         if max_attempts < 1:
             raise ValueError(f"max-attempts must be >= 1: {max_attempts}")
+        if not 0 < backoff_base <= DEFAULT_BACKOFF_CAP:
+            # Checked here, not at the first failed cell, where
+            # backoff_delay would raise out of the worker's loop.
+            raise ValueError(
+                f"retry-backoff must be in (0, {DEFAULT_BACKOFF_CAP:g}] "
+                f"seconds: {backoff_base}"
+            )
         self.cache, self.bank_cache = resolve_caches(cache, bank_cache)
         self.queue_dir = Path(queue_dir) if queue_dir else self.cache.queue_root
         self.jobs = jobs
@@ -397,7 +219,6 @@ class DistributedSweepRunner:
         self.poll_interval = poll_interval
         self.max_attempts = int(max_attempts)
         self.backoff_base = float(backoff_base)
-        self.backoff_cap = float(backoff_cap)
         self.fail_fast = fail_fast
         self.fault_plan = (
             FaultPlan.load(fault_plan)
@@ -405,7 +226,6 @@ class DistributedSweepRunner:
             else fault_plan
         )
         self.fsync = fsync
-        self.max_restarts = max_restarts
         #: Local-fleet respawns performed by the supervisor in the last
         #: :meth:`run` (0 with ``jobs=0`` or a healthy fleet).
         self.worker_restarts = 0
@@ -440,6 +260,7 @@ class DistributedSweepRunner:
         scenarios = list(grid)
         total = len(scenarios)
         done: dict[str, CellResult] = {}
+        stop = stop if stop is not None else threading.Event()
 
         def emit(cell: CellResult) -> None:
             done[cell.scenario.fingerprint()] = cell
@@ -465,9 +286,9 @@ class DistributedSweepRunner:
             if self.bank_cache is not None
             else None
         )
-        # The manifest is held back until the resume reconcile below is
-        # done, so no worker can claim a cell this coordinator is about
-        # to complete from the cache (attach blocks on the manifest).
+        # The manifest is held back until the reconcile below is done,
+        # so no worker can claim a cell this coordinator is about to
+        # complete from the cache (attach blocks on the manifest).
         if self.fault_plan is not None:
             # One plan governs the whole fleet: hit counters live in a
             # shared state dir under the queue (so a rule with times=1
@@ -484,7 +305,6 @@ class DistributedSweepRunner:
             publish=False,
             max_attempts=self.max_attempts,
             backoff_base=self.backoff_base,
-            backoff_cap=self.backoff_cap,
             fsync=self.fsync,
             faults=self.fault_plan,
         )
@@ -494,75 +314,12 @@ class DistributedSweepRunner:
             # spawned — or manually attached — workers to load.
             worker_plan_path = queue.root / "fault-plan.json"
             queue._write_atomic(worker_plan_path, self.fault_plan.to_dict())
-        by_name = queue.scenarios_by_name(ordered)
 
         #: name -> completion record for this run (how each cell was
         #: satisfied: which worker, which attempt, cached or executed) —
         #: queryable after ``run`` since the drained queue is retired.
         self.completion_records: dict[str, dict] = {}
-
-        outstanding = set(by_name)
-        rank = {name: seq for seq, name in enumerate(queue.manifest["tasks"])}
-
-        # Clear crashed-worker debris *before* judging done records: a
-        # worker killed between mark_done's write and its lease unlink
-        # leaves a lease that shadows the done record — ensure_pending
-        # would skip the cell as in-flight, and the stale record would
-        # then replay.  reclaim_expired drops exactly those leases (a
-        # lease whose done record exists is garbage by contract).
-        queue.reclaim_expired()
-
-        # Surviving done records go back into play exactly as
-        # SweepRunner would treat them: without --resume, history is
-        # not trusted at all and every settled cell re-executes; with
-        # --resume, only unusable records reopen — ok=False (which
-        # would otherwise re-raise the same SweepCellError forever)
-        # and ok=True records whose cache summary has since vanished
-        # (which would otherwise fail every future run as 'completed
-        # cell missing from the result cache').  In-flight leases are
-        # never touched either way.
-        for name in queue.done_names():
-            record = queue.done_record(name)
-            if record is None or name not in by_name:
-                continue
-            if (
-                not self.resume
-                or not record.get("ok")
-                or self.cache.load(by_name[name]) is None
-            ):
-                queue.ensure_pending(name, by_name[name], rank[name])
-        if not self.resume:
-            # Strip attempt counts inherited from a previous fleet's
-            # requeued leases, so no task claims at attempt > 1 and
-            # short-circuits to the cached summary — this run's
-            # contract is to re-execute.
-            queue.reset_pending_attempts()
-
-        if self.resume:
-            # Reconcile the queue against the cache (the source of
-            # truth under --resume): cached cells complete without a
-            # worker ever touching them, uncached cells go (back) into
-            # play even if a previous fleet had marked them done.
-            name_of = {s.fingerprint(): n for n, s in by_name.items()}
-            for scenario in scenarios:  # grid order, like SweepRunner
-                name = name_of[scenario.fingerprint()]
-                summary = self.cache.load(scenario)
-                if summary is None:
-                    queue.ensure_pending(name, scenario, rank[name])
-                    continue
-                record = {
-                    "ok": True,
-                    "error": None,
-                    "fingerprint": scenario.fingerprint(),
-                    "worker": "coordinator-resume",
-                    "attempt": 0,
-                    "bank_trainings": 0,
-                    "from_cache": True,
-                }
-                queue.complete_cached(name, record)
-                self.completion_records[name] = record
-                outstanding.discard(name)
-                emit(CellResult(scenario, summary, cached=True))
+        outstanding = self._reconcile(queue, scenarios, ordered, emit)
 
         # Market snapshots land before the manifest publishes, so every
         # worker that can see tasks can also see the mmap-able traces
@@ -572,8 +329,6 @@ class DistributedSweepRunner:
         ensure_market_snapshots(self.cache.root, scenarios)
 
         queue.publish_manifest()
-        failures: list[tuple[Scenario, str]] = []
-        failure_details: list[Optional[dict]] = []
         # Local workers log under the queue (rotated per slot by the
         # supervisor): kept exactly as long as diagnostics can matter —
         # a failed or interrupted sweep leaves them for post-mortem, a
@@ -591,37 +346,16 @@ class DistributedSweepRunner:
                 fault_plan=worker_plan_path,
             ),
             logs_dir=queue.root / "logs",
-            **(
-                {} if self.max_restarts is None
-                else {"max_restarts": self.max_restarts}
-            ),
         )
         self._supervisor = supervisor
         try:
             supervisor.start()
-            # Mutates ``outstanding`` in place, so what remained after
-            # a stop can be reported below.
-            tail_done_records(
-                queue,
-                self.cache,
-                by_name,
-                rank,
-                outstanding,
-                emit,
-                failures,
-                failure_details,
-                poll_interval=self.poll_interval,
-                fail_fast=self.fail_fast,
-                timeout=timeout,
-                supervisor=supervisor,
-                completion_records=self.completion_records,
-                stop=stop,
-            )
+            failures = self._tail(queue, outstanding, emit, timeout, stop)
         finally:
             supervisor.shutdown()
             self.worker_restarts = supervisor.restart_count
 
-        if stop is not None and stop.is_set() and outstanding:
+        if stop.is_set() and outstanding:
             # Cancelled, not failed: leases were drained gracefully
             # (local workers terminated above; external workers keep
             # their leases until the caller retires the queue and the
@@ -633,10 +367,10 @@ class DistributedSweepRunner:
             # quarantine ledger's per-cell post-mortems (traceback,
             # worker ids, attempt history) ride along as ``details``.
             raise SweepCellError(
-                failures,
+                [(scenario, error) for scenario, error, _ in failures],
                 completed=list(done.values()),
                 persisted=True,
-                details=failure_details,
+                details=[entry for _, _, entry in failures],
             )
         # Absorb the workers' published metric snapshots into this
         # process's registry *before* the queue (snapshots included) is
@@ -655,3 +389,198 @@ class DistributedSweepRunner:
         # manifest vanish and exit.
         shutil.rmtree(queue.root, ignore_errors=True)
         return SweepResult(done[s.fingerprint()] for s in scenarios)
+
+    def _reconcile(self, queue, scenarios, ordered, emit) -> dict:
+        """Settle what the cache answers for before any worker claims.
+
+        One pass in grid order with ``SweepRunner``'s resume rule: under
+        ``--resume`` one cache load per cell decides whether it is
+        cached (completed here, and emitted, without a worker ever
+        touching it) or pending; without ``--resume`` every cell is
+        pending and runs again.  A pending cell left settled by an
+        earlier fleet (done, failed, or done with its summary since
+        lost) goes back into play; an in-flight lease is never touched.
+
+        Returns ``{name: (seq, scenario)}`` for the cells the fleet
+        must still settle.
+        """
+        # Clear crashed-worker debris *before* judging done records: a
+        # worker killed between mark_done's write and its lease unlink
+        # leaves a lease that shadows the done record — ensure_pending
+        # would skip the cell as in-flight, and the stale record would
+        # then replay.  reclaim_expired drops exactly those leases (a
+        # lease whose done record exists is garbage by contract).
+        queue.reclaim_expired()
+        seq_of = {scenario.fingerprint(): seq for seq, scenario in enumerate(ordered)}
+        outstanding = {}
+        for scenario in scenarios:
+            fingerprint = scenario.fingerprint()
+            seq = seq_of[fingerprint]
+            name = task_name(seq, scenario)
+            summary = self.cache.load(scenario) if self.resume else None
+            if summary is None:
+                queue.ensure_pending(name, scenario, seq)
+                outstanding[name] = (seq, scenario)
+                continue
+            record = done_record(
+                fingerprint, "coordinator-resume", 0, from_cache=True
+            )
+            queue.complete_cached(name, record)
+            self.completion_records[name] = record
+            emit(CellResult(scenario, summary, cached=True))
+        if not self.resume:
+            # Strip attempt counts inherited from a previous fleet's
+            # requeued leases, so no task claims at attempt > 1 and
+            # short-circuits to the cached summary — this run's
+            # contract is to re-execute.
+            queue.reset_pending_attempts()
+        return outstanding
+
+    def _tail(self, queue, outstanding, emit, timeout, stop) -> list:
+        """Stream done records into ``emit`` until the queue drains.
+
+        The tail also owns the fleet's liveness between records: the
+        shared-mount visibility grace, the adaptive idle backoff, the
+        expired-lease reclaim, the supervisor's restarts, and the
+        vanished-task self-heal.
+
+        ``outstanding`` (from :meth:`_reconcile`) is mutated in place:
+        whatever remains on return did not settle (non-empty only on
+        ``fail_fast`` or a ``stop``).  Setting ``stop`` makes the tail
+        return at the next poll without touching queue state, so a
+        cancel is graceful by construction.  ``timeout`` (seconds)
+        bounds the loop for tests.  Returns the failed cells as
+        ``(scenario, error, ledger entry or None)``.
+        """
+        supervisor = self._supervisor
+        failures: list[tuple[Scenario, str, Optional[dict]]] = []
+        deadline = None if timeout is None else time.monotonic() + timeout
+        # On a shared mount (NFS/EFS) a done record can become visible
+        # to this machine before the worker's cache summary does
+        # (attribute/negative-entry caching): give a missing summary a
+        # grace window before declaring the cell broken.
+        summary_grace = max(10.0, 4 * self.poll_interval)
+        summary_missing_since: dict[str, float] = {}
+        # Adaptive poll: tight while records arrive, decaying toward the
+        # grace window when idle — a coordinator tailing a slow remote
+        # fleet stops burning a scan per poll_interval, yet reacts at full
+        # speed the moment completions stream again.
+        idle = AdaptiveDelay(self.poll_interval, summary_grace)
+
+        while outstanding:
+            if stop.is_set():
+                return failures
+            progressed = False
+            for name in queue.done_names():
+                if name not in outstanding:
+                    continue
+                scenario = outstanding[name][1]
+                record = queue.done_record(name) or {}
+                summary = self.cache.load(scenario) if record.get("ok") else None
+                if record.get("ok") and summary is None:
+                    first = summary_missing_since.setdefault(name, time.monotonic())
+                    if time.monotonic() - first < summary_grace:
+                        continue  # keep outstanding; re-poll
+                # Settle the cell: its record is consumed whatever it says.
+                progressed = True
+                del outstanding[name]
+                self.completion_records[name] = record
+                try:
+                    # Done-record tail latency: how long the record sat
+                    # on the mount before this tail consumed it.  A
+                    # *difference* of wall-clock readings (mount mtime
+                    # vs. now), clamped at zero against skew — never an
+                    # absolute deadline.
+                    age = time.time() - os.stat(queue.done_dir / name).st_mtime
+                except OSError:
+                    pass
+                else:
+                    obs.observe("repro_coordinator_tail_latency_seconds", max(0.0, age))
+                if summary is not None:
+                    emit(
+                        CellResult(
+                            scenario,
+                            summary,
+                            # A re-lease that found its predecessor's
+                            # summary already persisted did not execute.
+                            cached=bool(record.get("from_cache")),
+                            bank_trainings=int(record.get("bank_trainings", 0)),
+                            seconds=float(record.get("seconds", 0.0) or 0.0),
+                            attempt=int(record.get("attempt", 1) or 1),
+                        )
+                    )
+                    continue
+                error = (
+                    "completed cell missing from the result cache"
+                    if record.get("ok")
+                    else record.get("error") or "worker reported failure"
+                )
+                failures.append((scenario, error, queue.failure_entry(name)))
+            if failures and self.fail_fast:
+                # Abort the tail: the queue (leases, pending tasks,
+                # records) survives as-is for post-mortem or --resume.
+                return failures
+            if not outstanding:
+                break
+            queue.reclaim_expired()
+            restarted = supervisor.tick()
+            if restarted:
+                obs.inc("repro_worker_restarts_total", restarted)
+            # Self-heal vanished tasks: an outstanding cell with no
+            # task, lease, or done record cannot finish on its own (a
+            # worker quarantined its corrupt task file, or someone
+            # deleted it) — rewrite the task from the manifest.  The
+            # scan order (tasks, then in-flight leases including
+            # claim-temps, then done) matches the claim and completion
+            # transitions, so a cell mid-move is always seen in at
+            # least one of the three.
+            pending = queue.pending_names()
+            obs.set_gauge("repro_queue_depth", len(pending))
+            present = (
+                set(pending)
+                | set(queue.inflight_names())
+                | set(queue.done_names())
+            )
+            for name in outstanding.keys() - present:
+                seq, scenario = outstanding[name]
+                queue.ensure_pending(name, scenario, seq)
+                obs.inc("repro_coordinator_heals_total")
+            # A locally-spawned fleet that has died entirely — every
+            # slot's process exited *and* every slot's restart budget
+            # is spent — can never drain the queue; a worker only exits
+            # this early on a crash (clean exits need the sweep
+            # complete or the queue retired), so hanging silently would
+            # hide a real failure.  External fleets (jobs=0, or anyone
+            # holding a live lease) are unaffected — and a cell whose
+            # done record landed after this iteration's scan (`present`
+            # sees it) is not grounds to raise: the next iteration
+            # consumes it.
+            if (
+                supervisor.fleet_dead()
+                and not queue.inflight_names()
+                and outstanding.keys() - set(queue.done_names())
+            ):
+                raise RuntimeError(
+                    f"local sweep-worker fleet died (restarted "
+                    f"{supervisor.restart_count} time(s), budget spent) with "
+                    f"{len(outstanding)} cell(s) outstanding "
+                    f"(queue: {queue.root}); see {queue.root / 'logs'} for "
+                    "worker output; external workers can still drain it, "
+                    "or rerun to respawn the local fleet"
+                )
+            if deadline is not None and time.monotonic() > deadline:
+                raise TimeoutError(
+                    f"distributed sweep timed out with {len(outstanding)} cell(s) "
+                    f"outstanding (queue: {queue.root})"
+                )
+            if progressed:
+                idle.progress()
+            else:
+                idle.idle()
+            # Never let the idle backoff postpone a self-heal, and let a
+            # stop interrupt the sleep, or a cancel waits out a full
+            # idle backoff before being noticed.
+            stop.wait(
+                self.poll_interval if supervisor.pending_restart() else idle.current
+            )
+        return failures

@@ -90,6 +90,40 @@ class Lease:
         """Write the done record and drop the lease."""
         self.queue.mark_done(self.name, record)
 
+    def _attempt_entry(self, error: str, traceback_text: Optional[str]) -> dict:
+        """What this attempt did: one ``history`` entry of a retried
+        task, and the final entry of a quarantined cell's ledger."""
+        return {
+            "attempt": self.attempt,
+            "worker": self.owner,
+            "error": error,
+            "traceback": traceback_text,
+            "time": time.time(),
+        }
+
+    def ledger_entry(self, error: str, traceback_text: Optional[str]) -> dict:
+        """The quarantine record for a cell that exhausted its budget.
+
+        The task file's ``history`` holds one entry per *retried*
+        attempt; this final attempt is appended, so the ledger carries
+        the complete attempt history even though earlier attempts may
+        have run on other machines.
+        """
+        return {
+            "name": self.name,
+            "seq": self.payload.get("seq"),
+            "fingerprint": self.scenario.fingerprint(),
+            "scenario": self.payload["scenario"],
+            "worker": self.owner,
+            "attempt": self.attempt,
+            "error": error,
+            "traceback": traceback_text,
+            "attempts": [
+                *self.payload.get("history", []),
+                self._attempt_entry(error, traceback_text),
+            ],
+        }
+
     def retry(
         self, error: str, traceback_text: Optional[str], delay: float
     ) -> None:
@@ -115,17 +149,10 @@ class Lease:
         """
         payload = dict(self.payload)
         payload.pop("owner", None)
-        history = list(payload.get("history", []))
-        history.append(
-            {
-                "attempt": self.attempt,
-                "worker": self.owner,
-                "error": error,
-                "traceback": traceback_text,
-                "time": time.time(),
-            }
-        )
-        payload["history"] = history
+        payload["history"] = [
+            *payload.get("history", []),
+            self._attempt_entry(error, traceback_text),
+        ]
         payload["defer_for"] = max(0.0, delay)
         self.queue._write_atomic(self.queue.tasks_dir / self.name, payload)
         try:

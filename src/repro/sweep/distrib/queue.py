@@ -42,7 +42,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import obs
 from repro.sweep.cache import atomic_publish, sweep_stale_temps
@@ -85,6 +85,40 @@ def task_name(seq: int, scenario: Scenario) -> str:
     contiguous run of ranks, which is ``task_order`` with one lane.
     """
     return f"{seq:06d}-{scenario.fingerprint()}"
+
+
+def done_record(
+    fingerprint: str,
+    worker: str,
+    attempt: int,
+    *,
+    bank_trainings: int = 0,
+    from_cache: bool = False,
+    seconds: float = 0.0,
+    error: Optional[str] = None,
+    traceback_text: Optional[str] = None,
+) -> dict:
+    """The ``done/`` record of a settled cell, whoever settles it.
+
+    A worker writes one per executed (or re-leased, ``from_cache``)
+    cell, and a resuming coordinator one per cell it completes from the
+    cache.  ``error`` marks a quarantined cell, the only way a cell
+    settles as failed: its traceback rides along, and the rest of the
+    post-mortem is in its ``failures/`` ledger entry.
+    """
+    record = {
+        "ok": error is None,
+        "error": error,
+        "fingerprint": fingerprint,
+        "worker": worker,
+        "attempt": attempt,
+        "bank_trainings": bank_trainings,
+        "from_cache": from_cache,
+        "seconds": round(seconds, 6),
+    }
+    if error is not None:
+        record.update(quarantined=True, traceback=traceback_text)
+    return record
 
 
 class QueueError(RuntimeError):
@@ -273,16 +307,21 @@ class TaskQueue:
                 or (self.done_dir / name).exists()
             ):
                 continue
-            self._write_atomic(
-                self.tasks_dir / name,
-                {
-                    "schema": QUEUE_SCHEMA_VERSION,
-                    "seq": seq,
-                    "scenario": scenario.to_dict(),
-                    "attempt": 0,
-                },
-            )
+            self._write_task(name, seq, scenario)
             obs.inc("repro_queue_enqueued_total")
+
+    def _write_task(self, name: str, seq: int, scenario: Scenario) -> None:
+        """Publish a fresh task file for one cell (a retry rewrites the
+        claimed payload instead, keeping its attempt history)."""
+        self._write_atomic(
+            self.tasks_dir / name,
+            {
+                "schema": QUEUE_SCHEMA_VERSION,
+                "seq": seq,
+                "scenario": scenario.to_dict(),
+                "attempt": 0,
+            },
+        )
 
     def publish_manifest(self) -> None:
         """Make the queue joinable (attach blocks on the manifest).
@@ -424,6 +463,23 @@ class TaskQueue:
 
     def is_complete(self) -> bool:
         return len(self.done_names()) >= self.total
+
+    def census(self) -> dict:
+        """Cells per state, plus the attempts the quarantine ledger
+        records: the one scan behind job status, the cancel ledger and
+        ``repro top``.  It needs no manifest and writes nothing, and a
+        missing queue directory counts as empty."""
+        quarantined = self.failure_names()
+        return {
+            "pending": len(self.pending_names()),
+            "inflight": len(self.inflight_names()),
+            "done": len(self.done_names()),
+            "quarantined": len(quarantined),
+            "ledger_attempts": sum(
+                len((self.failure_entry(name) or {}).get("attempts", []))
+                for name in quarantined
+            ),
+        }
 
     # ------------------------------------------------------------------
     # Claim / re-lease
@@ -646,7 +702,7 @@ class TaskQueue:
     def reset_pending_attempts(self) -> None:
         """Zero the attempt counter on every pending task.
 
-        A no-resume coordinator runs this after its reopen pre-pass:
+        A no-resume coordinator runs this after its reconcile pass:
         a task re-queued from a *previous* run's expired lease carries
         that run's attempt count, and claiming it at attempt > 1 would
         trigger the within-run crash-recovery shortcut (reuse the
@@ -665,11 +721,13 @@ class TaskQueue:
     def complete_cached(self, name: str, record: dict) -> None:
         """Complete a task without executing it — its summary is
         already in the result cache (a resuming coordinator's
-        pre-pass).  Clears whatever queue state the task was left in:
-        pending, or a stale lease from a crashed fleet."""
+        reconcile).  Clears whatever queue state the task was left in:
+        pending, a stale lease from a crashed fleet, or a quarantine
+        verdict the cached summary has since overruled."""
         self._write_atomic(self.done_dir / name, record)
         self._unlink_quiet(self.tasks_dir / name)
         self._unlink_quiet(self.leases_dir / name)
+        self._unlink_quiet(self.failures_dir / name)
 
     def ensure_pending(self, name: str, scenario: Scenario, seq: int) -> None:
         """Put a task back in play when its outcome is *not* usable
@@ -679,28 +737,21 @@ class TaskQueue:
         (the cache entry was deleted, a schema bump invalidated it, or
         the previous attempt errored) is dropped and the task file
         restored, so the cache — not the queue's history — is the
-        source of truth.  A cell with a live pending task or lease is
+        source of truth.  A cell with a live pending task or lease (a
+        claim still between its rename and its publish included) is
         left *entirely* untouched, done record included: the lease
         holder may be completing it right now, and deleting a done
         record out from under its ``mark_done`` would strand the cell
         with no task, no lease, and no record — an unfinishable sweep.
         """
-        if (self.tasks_dir / name).exists() or (self.leases_dir / name).exists():
+        if (self.tasks_dir / name).exists() or name in self.inflight_names():
             return
         self._unlink_quiet(self.done_dir / name)
         # Back in play means the quarantine verdict no longer stands:
         # drop the ledger entry so the failure report reflects *this*
         # run, not a predecessor the operator already acted on.
         self._unlink_quiet(self.failures_dir / name)
-        self._write_atomic(
-            self.tasks_dir / name,
-            {
-                "schema": QUEUE_SCHEMA_VERSION,
-                "seq": seq,
-                "scenario": scenario.to_dict(),
-                "attempt": 0,
-            },
-        )
+        self._write_task(name, seq, scenario)
 
     # ------------------------------------------------------------------
     # Hygiene
@@ -734,8 +785,3 @@ class TaskQueue:
             if site_action == "corrupt":
                 text = faults_mod.corrupt_bytes(text)
         atomic_publish(path, text, fsync=self.fsync)
-
-    # ------------------------------------------------------------------
-    def scenarios_by_name(self, ordered: Iterable[Scenario]) -> dict[str, Scenario]:
-        """Map manifest task names back to their scenarios."""
-        return {task_name(seq, s): s for seq, s in enumerate(ordered)}

@@ -1,4 +1,4 @@
-"""Retry budgets, backoff schedules, and the poison-cell ledger.
+"""Retry budgets and backoff schedules for the distributed sweep.
 
 Failure policy for the distributed sweep, in one place:
 
@@ -15,15 +15,14 @@ Failure policy for the distributed sweep, in one place:
 * **Quarantine** — a task that exhausts its budget is *poison*: it
   gets one crash-safe ledger entry under ``queue/failures/`` carrying
   the error, the traceback, the worker ids, and the full attempt
-  history, plus an ``ok=False`` done record so the sweep terminates
-  (with a partial result) instead of re-leasing the cell forever.
+  history (see ``Lease.ledger_entry``), plus an ``ok=False`` done
+  record so the sweep terminates (with a partial result) instead of
+  re-leasing the cell forever.
 """
 
 from __future__ import annotations
 
 import hashlib
-import time
-from typing import Optional
 
 #: Executions per task before quarantine.  3 retries a transient fault
 #: twice without letting a deterministic crasher starve the fleet.
@@ -67,42 +66,3 @@ def backoff_delay(
     digest = hashlib.sha256(f"{key}:{attempt}".encode()).digest()
     fraction = int.from_bytes(digest[:8], "big") / 2.0**64
     return raw * (0.5 + 0.5 * fraction)
-
-
-def build_ledger_entry(
-    name: str,
-    payload: dict,
-    *,
-    worker: str,
-    attempt: int,
-    error: str,
-    traceback_text: Optional[str],
-) -> dict:
-    """The quarantine record for a task that exhausted its budget.
-
-    ``payload`` is the task file's contents: its ``history`` list holds
-    one record per *retried* attempt, to which this final attempt is
-    appended, so the ledger carries the complete attempt history even
-    though earlier attempts may have run on other machines.
-    """
-    attempts = list(payload.get("history", []))
-    attempts.append(
-        {
-            "attempt": attempt,
-            "worker": worker,
-            "error": error,
-            "traceback": traceback_text,
-            "time": time.time(),
-        }
-    )
-    return {
-        "name": name,
-        "seq": payload.get("seq"),
-        "fingerprint": (payload.get("scenario") or {}).get("fingerprint"),
-        "scenario": payload.get("scenario"),
-        "worker": worker,
-        "attempt": attempt,
-        "error": error,
-        "traceback": traceback_text,
-        "attempts": attempts,
-    }

@@ -39,8 +39,8 @@ from repro.sweep.cache import SweepCache
 from repro.sweep.distrib import faults as faults_mod
 from repro.sweep.distrib.faults import FaultPlan
 from repro.sweep.distrib.lease import Heartbeat, Lease
-from repro.sweep.distrib.queue import TaskQueue
-from repro.sweep.distrib.retry import backoff_delay, build_ledger_entry
+from repro.sweep.distrib.queue import TaskQueue, done_record
+from repro.sweep.distrib.retry import backoff_delay
 from repro.sweep.runner import _snapshot_path_for, execute_cell
 
 
@@ -76,8 +76,8 @@ class SweepWorker:
         faults: Optional :class:`FaultPlan`; threaded through the
             queue, the cache, and the heartbeat so every injection
             site this worker touches fires through one plan.
-        max_attempts: Override the queue manifest's retry budget
-            (testing knob; the fleet normally agrees via the manifest).
+
+    The retry budget is the queue manifest's, so the fleet agrees on it.
     """
 
     def __init__(
@@ -90,7 +90,6 @@ class SweepWorker:
         on_claim: Optional[Callable] = None,
         on_retry: Optional[Callable] = None,
         faults: Optional[FaultPlan] = None,
-        max_attempts: Optional[int] = None,
     ) -> None:
         self.queue = queue
         if faults is not None:
@@ -114,9 +113,6 @@ class SweepWorker:
         self.on_cell = on_cell
         self.on_claim = on_claim
         self.on_retry = on_retry
-        self.max_attempts = (
-            int(max_attempts) if max_attempts is not None else queue.max_attempts
-        )
         self.executed = 0
         self.failed = 0
         self.retried = 0
@@ -230,7 +226,7 @@ class SweepWorker:
             # exactly-once even at the store/done boundary.
             summary = self.cache.load(scenario)
             from_cache = summary is not None
-        if summary is None and lease.attempt > self.max_attempts:
+        if summary is None and lease.attempt > self.queue.max_attempts:
             # Crash-poison: the budget was consumed entirely by claims
             # whose workers died mid-cell (a raise-poison quarantines
             # below, *at* the budget).  Executing again would just feed
@@ -285,7 +281,7 @@ class SweepWorker:
             self.executed += 1
             self.failed += 1
             obs.inc("repro_worker_cells_total", status="failed")
-            if lease.attempt < self.max_attempts:
+            if lease.attempt < self.queue.max_attempts:
                 self._retry(lease, error, traceback_text)
             else:
                 self._quarantine(
@@ -296,22 +292,25 @@ class SweepWorker:
         obs.inc(
             "repro_worker_cells_total", status="cached" if from_cache else "ok"
         )
-        record = {
-            "ok": True,
-            "error": None,
-            "fingerprint": scenario.fingerprint(),
-            "worker": self.worker_id,
-            "attempt": lease.attempt,
-            "bank_trainings": trained,
-            "from_cache": from_cache,
-            "seconds": round(seconds, 6),
-        }
+        self._complete(
+            lease,
+            done_record(
+                scenario.fingerprint(),
+                self.worker_id,
+                lease.attempt,
+                bank_trainings=trained,
+                from_cache=from_cache,
+                seconds=seconds,
+            ),
+        )
+
+    def _complete(self, lease: Lease, record: dict) -> None:
         try:
             lease.complete(record)
         except OSError:
             # The queue vanished mid-completion (the coordinator
-            # assembled the result and retired it): the summary is in
-            # the cache, nothing is lost, nobody needs the record.
+            # assembled the result and retired it): nobody needs the
+            # record.
             return
         if self.on_cell is not None:
             self.on_cell(lease, record)
@@ -347,34 +346,22 @@ class SweepWorker:
         (``ok=False``) so the sweep terminates instead of re-leasing
         the cell forever.  Ledger-then-done ordering means any done
         record marked ``quarantined`` has its post-mortem on disk."""
-        entry = build_ledger_entry(
-            lease.name,
-            lease.payload,
-            worker=self.worker_id,
-            attempt=lease.attempt,
-            error=error,
-            traceback_text=traceback_text,
-        )
         try:
-            self.queue.record_failure(lease.name, entry)
+            self.queue.record_failure(
+                lease.name, lease.ledger_entry(error, traceback_text)
+            )
         except OSError:
             pass  # a full disk must not keep the cell re-leasing forever
         obs.inc("repro_worker_cells_total", status="quarantined")
-        record = {
-            "ok": False,
-            "error": error,
-            "quarantined": True,
-            "traceback": traceback_text,
-            "fingerprint": lease.scenario.fingerprint(),
-            "worker": self.worker_id,
-            "attempt": lease.attempt,
-            "bank_trainings": trained,
-            "from_cache": False,
-            "seconds": round(seconds, 6),
-        }
-        try:
-            lease.complete(record)
-        except OSError:
-            return
-        if self.on_cell is not None:
-            self.on_cell(lease, record)
+        self._complete(
+            lease,
+            done_record(
+                lease.scenario.fingerprint(),
+                self.worker_id,
+                lease.attempt,
+                bank_trainings=trained,
+                seconds=seconds,
+                error=error,
+                traceback_text=traceback_text,
+            ),
+        )

@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import repro.cli as cli_module
@@ -92,3 +97,36 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "selected top models" in out
         assert "SpotTune" in out
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--days", "1"], ["figures", "--only", "fig6"]],
+        ids=["trace", "figures"],
+    )
+    def test_closed_stdout_exits_141_without_traceback(self, argv):
+        """``repro trace --days 1 | head -1``: a reader that goes away
+        ends the command with 128 + SIGPIPE and one line on stderr."""
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *argv],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        # Closed while the child is still importing, so its first
+        # write already finds no reader.
+        process.stdout.close()
+        try:
+            _, err = process.communicate(timeout=300)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait()
+        err = err.decode()
+        assert process.returncode == 141, err
+        assert "output closed" in err
+        assert "Traceback" not in err

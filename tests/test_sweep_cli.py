@@ -443,6 +443,21 @@ class TestChaosFlags:
             assert main(["sweep", "--no-cache", *flags]) == 2
             assert "--distributed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("backoff", ["0", "60"])
+    def test_unusable_retry_backoff_rejected_before_enqueue(
+        self, tmp_path, capsys, backoff
+    ):
+        # backoff_delay needs 0 < base <= its 30 s cap; a bad base must
+        # not wait for the first failed cell to kill a worker.
+        cache_dir = tmp_path / "c"
+        assert main(
+            ["sweep", "--distributed", "--cache-dir", str(cache_dir),
+             "--retry-backoff", backoff]
+        ) == 2
+        err = capsys.readouterr().err
+        assert "invalid sweep options: retry-backoff must be in (0, 30]" in err
+        assert not cache_dir.exists()  # nothing enqueued, nothing created
+
     def test_unreadable_fault_plan_rejected(self, tmp_path, capsys):
         bad = tmp_path / "plan.json"
         bad.write_text("{not json")

@@ -408,6 +408,17 @@ class TestLeaseExpiry:
         assert queue.done_record(name) == {"ok": True}
         assert lease.held()
 
+    def test_ensure_pending_leaves_a_mid_claim_cell_alone(self, tmp_path):
+        # A cell between the claim rename and the lease publish has no
+        # task and no lease file; writing a task for it would have a
+        # second worker run it again.
+        cells = ordered_cells()[:1]
+        queue = make_queue(tmp_path, cells)
+        name = task_name(0, cells[0])
+        os.rename(queue.tasks_dir / name, queue.leases_dir / f"{name}.claim-w1")
+        queue.ensure_pending(name, cells[0], 0)
+        assert queue.pending_names() == []
+
     def test_ensure_pending_reopens_a_settled_cell(self, tmp_path):
         cells = ordered_cells()[:1]
         queue = make_queue(tmp_path, cells)

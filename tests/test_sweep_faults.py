@@ -9,6 +9,7 @@ jitter, a per-task retry budget, the ``queue/failures/`` quarantine
 ledger, graceful partial results, and supervised local fleets.
 """
 
+import collections
 import json
 import os
 import threading
@@ -264,6 +265,7 @@ class TestRetryAndQuarantine:
         assert queue.failure_names() == [poison]
         entry = queue.failure_entry(poison)
         assert entry["name"] == poison
+        assert entry["fingerprint"] == executions[0]  # the poison cell's own
         assert len(entry["attempts"]) == 3
         assert [a["attempt"] for a in entry["attempts"]] == [1, 2, 3]
         assert all(a["worker"] == "w1" for a in entry["attempts"])
@@ -616,6 +618,103 @@ class TestGracefulDegradation:
         finally:
             thread.join()
         assert len(result) == len(grid)
+
+    def _quarantine_theta_one(self, tmp_path, monkeypatch) -> ScenarioGrid:
+        """A failed sweep whose queue survives: the theta 1.0 cell is
+        quarantined and its sibling holds an ok done record."""
+
+        def boom(scenario, context=None, bank_cache=None, dataset_path=None):
+            if scenario.theta == 1.0:
+                raise RuntimeError("deterministic poison")
+            return {"cost": scenario.theta}
+
+        monkeypatch.setattr(runner_mod, "run_scenario", boom)
+        grid = tiny_grid()
+        runner = DistributedSweepRunner(
+            cache=tmp_path / "cells", jobs=0, poll_interval=0.01, max_attempts=1
+        )
+        thread = self._drain_in_background(runner)
+        try:
+            with pytest.raises(SweepCellError):
+                runner.run(grid, timeout=60.0)
+        finally:
+            thread.join()
+        return grid
+
+    @staticmethod
+    def _observe_publish(monkeypatch) -> dict:
+        """Count ``SweepCache.load`` calls per cell, and note the counts
+        and the quarantine ledger at the moment the manifest publishes."""
+        loads = collections.Counter()
+        seen: dict = {}
+        real_load = SweepCache.load
+        real_publish = TaskQueue.publish_manifest
+
+        def load(cache, scenario):
+            loads[scenario.fingerprint()] += 1
+            return real_load(cache, scenario)
+
+        def publish(queue):
+            seen.update(loads=dict(loads), failures=queue.failure_names())
+            real_publish(queue)
+
+        monkeypatch.setattr(SweepCache, "load", load)
+        monkeypatch.setattr(TaskQueue, "publish_manifest", publish)
+        return seen
+
+    def test_resume_loads_each_cell_once_before_publishing(
+        self, tmp_path, monkeypatch
+    ):
+        grid = self._quarantine_theta_one(tmp_path, monkeypatch)
+        monkeypatch.setattr(
+            runner_mod,
+            "run_scenario",
+            lambda s, context=None, bank_cache=None, dataset_path=None: {"cost": s.theta},
+        )
+        seen = self._observe_publish(monkeypatch)
+        again = DistributedSweepRunner(
+            cache=tmp_path / "cells", jobs=0, poll_interval=0.01, resume=True
+        )
+        thread = self._drain_in_background(again, wait_pending=True)
+        try:
+            result = again.run(grid, timeout=60.0)
+        finally:
+            thread.join()
+        assert result.cached_count == 1 and result.executed_count == 1
+        # One reconcile pass: the cell the first fleet finished is
+        # loaded once, like the one it quarantined.
+        assert seen["loads"] == {s.fingerprint(): 1 for s in grid}
+        finished = next(s for s in grid if s.theta != 1.0)
+        records = {r["fingerprint"]: r for r in again.completion_records.values()}
+        assert records[finished.fingerprint()] == {
+            "ok": True,
+            "error": None,
+            "fingerprint": finished.fingerprint(),
+            "worker": "coordinator-resume",
+            "attempt": 0,
+            "bank_trainings": 0,
+            "from_cache": True,
+            "seconds": 0.0,
+        }
+
+    def test_resume_completes_a_cached_quarantined_cell_and_drops_its_ledger(
+        self, tmp_path, monkeypatch
+    ):
+        grid = self._quarantine_theta_one(tmp_path, monkeypatch)
+        poison = next(s for s in grid if s.theta == 1.0)
+        # Another sweep has cached the cell since the quarantine.
+        SweepCache(tmp_path / "cells").store(poison, {"cost": poison.theta})
+        seen = self._observe_publish(monkeypatch)
+        again = DistributedSweepRunner(
+            cache=tmp_path / "cells", jobs=0, poll_interval=0.01, resume=True
+        )
+        result = again.run(grid, timeout=60.0)  # no worker needed
+        assert result.cached_count == len(grid)
+        assert result.one(theta=1.0).summary == {"cost": 1.0}
+        # The stale verdict is gone before any worker can see the queue.
+        assert seen["failures"] == []
+        records = {r["fingerprint"]: r for r in again.completion_records.values()}
+        assert records[poison.fingerprint()]["worker"] == "coordinator-resume"
 
 
 class TestSupervisedFleetIntegration:
