@@ -593,9 +593,6 @@ def _run_top(args: argparse.Namespace) -> int:
 def _run_serve(args: argparse.Namespace) -> int:
     from repro.serve import JobRegistry, SweepService
 
-    if args.jobs < 0:
-        print(f"invalid --jobs: {args.jobs}", file=sys.stderr)
-        return 2
     try:
         registry = JobRegistry(
             args.cache_dir,

@@ -42,11 +42,13 @@ checkpoint, and the run's deadline — so the replay stops at least one
 tick before each and the per-tick code, the only place that acts,
 decides.
 
-A simulated trial's observed points are always steps 1, 1 + v, ...
-up to the highest step reached, whatever the restores and roll-backs,
-so EarlyCurve's prediction is a pure function of the trial and the
+A trial's observed points are always steps 1, 1 + v, ... up to the
+highest step reached, whatever the restores and roll-backs, so every
+trial, simulated or live, is observed through its observation table
+(see :class:`~repro.earlycurve.predictor.ObservationTable`), and
+EarlyCurve's prediction is a pure function of the trial and the
 observed count; it is computed once per (trial, count) and shared by
-every run of the trial (see :class:`~repro.earlycurve.predictor.ObservationTable`).
+every run of the trial.
 """
 
 from __future__ import annotations
@@ -90,8 +92,8 @@ class _Job:
     curve_predictor: EarlyCurvePredictor
     record: JobRecord
     cutoff_steps: int
-    #: The trial's metric table, or None for a live-trainer trial.
-    table: Optional[ObservationTable]
+    #: The trial's metric table (see :meth:`Trial.observation_table`).
+    table: ObservationTable
     steps_done: float = 0.0
     checkpoint_steps: float = 0.0
     vm: Optional[SpotVM] = None
@@ -236,7 +238,10 @@ class SpotTuneOrchestrator:
         if job.vm is None:
             return  # waiting for deployment
         if job.vm_lost:
-            self._handle_lost_vm(job)
+            # Revoked before its notice was processed: progress since
+            # the last checkpoint is gone.
+            self._roll_back_to_checkpoint(job)
+            self._close_segment(job, job.vm.end_time)
             return
         self.matrix.update(job.vm.instance, job.trial_id, job.segment_sps)
         if job.vm.consume_notice():
@@ -324,8 +329,6 @@ class SpotTuneOrchestrator:
         )
         if self.config.early_shutdown_enabled:
             table = job.table
-            if table is None:
-                return -math.inf
             predictor = job.curve_predictor
             seen = len(predictor.values)
             plateau = int(table.plateau_next[max(seen, 1) - 1]) + 1
@@ -380,26 +383,9 @@ class SpotTuneOrchestrator:
             stride = self.workload.validate_every
             count = (whole_steps - first) // stride + 1
             job.next_metric_step = first + stride * count
-            if job.table is not None:
-                job.curve_predictor.observe_table(
-                    job.table, (job.next_metric_step - 1) // stride
-                )
-                return
-            # The tick's metric points form an arithmetic sequence.
-            # Steps the predictor already saw (replay after a restore)
-            # can only sit at the head of the sequence, so one filter
-            # against the pre-tick high-water mark matches a per-step
-            # `step > observed_steps` guard exactly.
-            observed = job.curve_predictor.observed_steps
-            pending = [
-                step
-                for step in range(first, whole_steps + 1, stride)
-                if step > observed
-            ]
-            if pending:
-                observe = job.curve_predictor.observe
-                for step, value in zip(pending, job.trial.metrics_at(pending)):
-                    observe(step, float(value))
+            job.curve_predictor.observe_table(
+                job.table, (job.next_metric_step - 1) // stride
+            )
 
     def _reached_cutoff(self, job: _Job) -> bool:
         return job.steps_done + 1e-9 >= job.cutoff_steps
@@ -411,9 +397,7 @@ class SpotTuneOrchestrator:
 
     def _predict_final(self, job: _Job) -> float:
         """EarlyCurve's prediction of the job's final metric, computed
-        once per observed count of a table-backed trial."""
-        if job.table is None:
-            return job.curve_predictor.predict_final().predicted_final
+        once per observed count of the trial."""
         memo = job.table.predictions
         count = len(job.curve_predictor.values)
         if count not in memo:
@@ -519,19 +503,6 @@ class SpotTuneOrchestrator:
         job.record.steps_completed = job.steps_done
         reason = job.curve_predictor.should_stop()
         job.record.finish_mode = reason.value if reason else "cutoff"
-
-    def _handle_lost_vm(self, job: _Job) -> None:
-        """VM revoked before its notice was processed: progress since
-        the last checkpoint is gone."""
-        lost = job.steps_done - job.checkpoint_steps
-        job.record.lost_steps += lost
-        if job.current_segment is not None:
-            job.current_segment.steps = max(0.0, job.current_segment.steps - lost)
-            job.current_segment.end = job.vm.end_time if job.vm else None
-        job.steps_done = job.checkpoint_steps
-        job.vm = None
-        job.vm_lost = False
-        job.current_segment = None
 
     def _on_revoked(self, job: _Job, vm: SpotVM) -> None:
         if job.vm is vm:

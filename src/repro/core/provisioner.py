@@ -32,7 +32,7 @@ import numpy as np
 from repro.cloud.instance import InstanceType
 from repro.cloud.provider import SimCloudProvider
 from repro.core.perf_matrix import PerformanceMatrix
-from repro.revpred.predictor import RevocationPredictor
+from repro.revpred.predictor import RevocationPredictor, score_queries
 from repro.sim.rng import RngStream
 
 
@@ -104,7 +104,7 @@ class Provisioner:
         :meth:`get_best_instance` call per job in order: (1) the market
         quotes (memoised per instant) and one ``(J, N)`` max-price delta
         draw, which takes the same values as J x N scalar draws in
-        job-then-pool order; (2) one ``probability_many`` call over the
+        job-then-pool order; (2) one :func:`score_queries` call over the
         J x N candidates in that order (a caching predictor's first
         query of a key still fixes its value, and a predictor bank
         scores the misses in one stacked pass); (3) Equations 1 and 2
@@ -124,11 +124,7 @@ class Provisioner:
             for row in max_price_rows
             for instance, max_price in zip(self.pool, row)
         ]
-        probability_many = getattr(self.predictor, "probability_many", None)
-        if probability_many is not None:
-            probabilities = probability_many(queries)
-        else:
-            probabilities = [self.predictor.probability(*query) for query in queries]
+        probabilities = score_queries(self.predictor, queries)
         probabilities = np.array(probabilities, dtype=float).reshape(max_prices.shape)
         hour_costs = (1.0 - probabilities) * average_prices
         seconds_per_step = np.array(

@@ -11,10 +11,10 @@ The Orchestrator streams (step, metric) points into one
 * exposes :func:`rank_configurations` for the final top-mcnt selection
   (Algorithm 1, lines 48-53).
 
-A simulated trial's points are fixed in advance, so an
-:class:`ObservationTable` holds them once per trial together with the
-plateau counter after each point; the orchestrator then observes a
-poll tick's points as one slice of the table.
+A trial's points are fixed in advance (a live trainer's once it has
+been read), so an :class:`ObservationTable` holds them once per trial
+together with the plateau counter after each point; the orchestrator
+then observes a poll tick's points as one slice of the table.
 """
 
 from __future__ import annotations

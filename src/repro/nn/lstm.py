@@ -20,11 +20,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _infer_steps(x: np.ndarray, W: np.ndarray, b: np.ndarray, H: int) -> np.ndarray:
-    """Cache-free recurrence over ``x`` (..., batch, time, features).
+    """Cache-free recurrence of M stacked layers over ``x`` (M, 1,
+    time, features).
 
-    ``W`` is one layer's packed weight, (features + H, 4H), or a stack
-    of them, (M, features + H, 4H), with ``x`` then (M, 1, time,
-    features) and ``b`` (M, 1, 4H).  Each gate value is the same
+    ``W`` stacks the layers' packed weights, (M, features + H, 4H), and
+    ``b`` their biases, (M, 1, 4H).  Each gate value is the same
     element-wise float64 expression of the same pre-activation as in
     ``forward``; only the grouping into NumPy calls differs (one
     sigmoid over all four gate blocks, the cell block's discarded), and
@@ -105,21 +105,6 @@ class _LSTMLayer(Module):
         self._cache = cache
         return outputs
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass without populating the BPTT cache.
-
-        Bitwise-identical to :meth:`forward` — every value is the same
-        float64 expression (see ``_infer_steps``) — but skips
-        allocating and filling the eight (batch, time, hidden) cache
-        arrays, which dominate inference cost.  ``backward`` cannot
-        follow this.
-        """
-        if x.ndim != 3 or x.shape[2] != self.input_size:
-            raise ValueError(
-                f"expected (batch, time, {self.input_size}), got {x.shape}"
-            )
-        return _infer_steps(x, self.weight.value, self.bias.value, self.hidden_size)
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
@@ -199,12 +184,6 @@ class LSTM(Module):
             x = layer.forward(x)
         return x
 
-    def infer(self, x: np.ndarray) -> np.ndarray:
-        """Cache-free forward across the stack (see ``_LSTMLayer.infer``)."""
-        for layer in self.layers:
-            x = layer.infer(x)
-        return x
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         for layer in reversed(self.layers):
             grad_output = layer.backward(grad_output)
@@ -226,10 +205,12 @@ def infer_stacked(lstms: Sequence[LSTM], x: np.ndarray) -> np.ndarray:
     result is the top layers' (M, time, hidden) outputs.  Each timestep
     is one ``(M, 1, K) @ (M, K, 4H)`` matmul over the models' weights
     stacked C-contiguous.  NumPy runs a stacked matmul as one GEMV per
-    model, the kernel a one-row :meth:`LSTM.infer` calls, so row m
-    equals ``lstms[m].infer(x[m:m + 1])[0]`` bit for bit.  Batching the
-    rows into one 2-D (M, K) @ (K, 4H) GEMM through shared weights
-    would not be: its blocked kernel sums in another order.
+    model, the kernel a one-row :meth:`LSTM.forward` calls, so row m
+    equals ``lstms[m].forward(x[m:m + 1])[0]`` bit for bit, without
+    filling the BPTT cache that ``forward`` keeps for ``backward``.  A
+    one-model pass is the M = 1 case.  Batching the rows into one 2-D
+    (M, K) @ (K, 4H) GEMM through shared weights would not be exact:
+    its blocked kernel sums in another order.
     """
     if not lstms:
         raise ValueError("infer_stacked needs at least one LSTM")

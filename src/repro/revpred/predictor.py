@@ -39,6 +39,18 @@ class RevocationPredictor(Protocol):
         ...
 
 
+def score_queries(
+    predictor: RevocationPredictor, queries: list[tuple[InstanceType, float, float]]
+) -> list[float]:
+    """``probability(*query)`` for each query, in order: one
+    ``probability_many`` call when the predictor has that batch entry
+    point, one ``probability`` call per query otherwise."""
+    score_many = getattr(predictor, "probability_many", None)
+    if score_many is not None:
+        return score_many(queries)
+    return [predictor.probability(*query) for query in queries]
+
+
 @dataclass
 class MarketPredictor:
     """Trained model + odds correction + feature source for one market."""
@@ -247,12 +259,7 @@ class CachingPredictor:
             if key not in self._cache and key not in misses:
                 misses[key] = (instance, (key[1] + 0.5) * self.time_quantum, max_price)
         if misses:
-            pending = list(misses.values())
-            score_many = getattr(self.inner, "probability_many", None)
-            if score_many is not None:
-                values = score_many(pending)
-            else:
-                values = [self.inner.probability(*query) for query in pending]
+            values = score_queries(self.inner, list(misses.values()))
             self._cache.update(zip(misses, values))
         return [self._cache[key] for key in keys]
 

@@ -47,6 +47,7 @@ from repro.sweep.distrib import (
     SweepCancelled,
     TaskQueue,
 )
+from repro.sweep.distrib.coordinator import check_queue_policy
 from repro.sweep.runner import SweepCellError
 from repro.sweep.scenario import SCHEMA_VERSION, ScenarioGrid
 
@@ -116,6 +117,8 @@ class JobRegistry:
         jobs: Default local worker processes per job (0 = coordinate
             only; external workers attach to the job's queue dir).
         lease_ttl / max_attempts: Per-job queue policy defaults.
+            An unusable ``jobs``, ``lease_ttl`` or ``max_attempts``
+            raises ``ValueError`` before any job is adopted.
         poll_interval: Tail cadence for job runner threads.
         fsync: Durability of registry and queue publishes.
 
@@ -133,12 +136,15 @@ class JobRegistry:
         poll_interval: float = 0.1,
         fsync: bool = True,
     ) -> None:
-        if not isinstance(cache, SweepCache):
-            cache = SweepCache(cache, fsync=fsync)
-        self.cache = cache
         self.jobs = int(jobs)
         self.lease_ttl = float(lease_ttl)
         self.max_attempts = int(max_attempts)
+        # Checked before anything is made or adopted: every job would
+        # otherwise fail in its own runner with the same error.
+        check_queue_policy(self.jobs, self.lease_ttl, self.max_attempts)
+        if not isinstance(cache, SweepCache):
+            cache = SweepCache(cache, fsync=fsync)
+        self.cache = cache
         self.poll_interval = float(poll_interval)
         self.fsync = fsync
         self.jobs_root = cache.serve_root / "jobs"

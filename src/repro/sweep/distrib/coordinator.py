@@ -150,6 +150,17 @@ def spawn_local_worker(
     )
 
 
+def check_queue_policy(jobs: int, lease_ttl: float, max_attempts: int) -> None:
+    """Reject a local worker count, lease TTL or retry budget that no
+    queue can run with (``ValueError``)."""
+    if jobs < 0:
+        raise ValueError(f"jobs must be >= 0: {jobs}")
+    if lease_ttl <= 0:
+        raise ValueError(f"lease-ttl must be positive: {lease_ttl}")
+    if max_attempts < 1:
+        raise ValueError(f"max-attempts must be >= 1: {max_attempts}")
+
+
 class DistributedSweepRunner:
     """Executes a grid through the filesystem broker.
 
@@ -198,12 +209,7 @@ class DistributedSweepRunner:
     ) -> None:
         if cache is None:
             raise ValueError("distributed sweeps require a result cache")
-        if jobs < 0:
-            raise ValueError(f"jobs must be >= 0: {jobs}")
-        if lease_ttl <= 0:
-            raise ValueError(f"lease-ttl must be positive: {lease_ttl}")
-        if max_attempts < 1:
-            raise ValueError(f"max-attempts must be >= 1: {max_attempts}")
+        check_queue_policy(jobs, lease_ttl, max_attempts)
         if not 0 < backoff_base <= DEFAULT_BACKOFF_CAP:
             # Checked here, not at the first failed cell, where
             # backoff_delay would raise out of the worker's loop.

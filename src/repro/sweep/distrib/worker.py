@@ -41,7 +41,7 @@ from repro.sweep.distrib.faults import FaultPlan
 from repro.sweep.distrib.lease import Heartbeat, Lease
 from repro.sweep.distrib.queue import TaskQueue, done_record
 from repro.sweep.distrib.retry import backoff_delay
-from repro.sweep.runner import _snapshot_path_for, execute_cell
+from repro.sweep.runner import execute_cell, market_snapshot_dir
 
 
 #: Worker ids become part of lease filenames, so they must be plain
@@ -250,7 +250,7 @@ class SweepWorker:
                 summary, error, traceback_text, trained, seconds = execute_cell(
                     scenario,
                     bank_cache=self.bank_cache,
-                    dataset_path=_snapshot_path_for(self.cache.root, scenario.seed),
+                    dataset_path=market_snapshot_dir(self.cache.root, scenario.seed),
                     faults=self.faults,
                     fault_key=lease.name,
                 )

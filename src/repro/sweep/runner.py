@@ -70,25 +70,13 @@ _MAX_CACHED_CONTEXTS = 8
 def market_snapshot_dir(cache_root, seed: int):
     """Where the mmap-able market snapshot for ``seed`` lives under a
     result-cache root (see :mod:`repro.market.snapshot`), or ``None``
-    without a cache."""
+    without a cache.  A context handed this path reads a missing or
+    unreadable snapshot as a miss and generates the dataset instead."""
     if cache_root is None:
         return None
     from repro.sweep.cache import MARKETS_SUBDIR
 
     return Path(cache_root) / MARKETS_SUBDIR / f"seed{int(seed)}"
-
-
-def _snapshot_path_for(cache_root, seed: int):
-    """The snapshot directory for ``seed`` if one is present on disk.
-
-    Cheap existence probe only — full validation (schema, arrays)
-    happens inside the context's loader, which falls back to
-    regenerating on any mismatch.
-    """
-    snapshot = market_snapshot_dir(cache_root, seed)
-    if snapshot is not None and (snapshot / "meta.json").is_file():
-        return str(snapshot)
-    return None
 
 
 def ensure_market_snapshots(cache_root, scenarios) -> None:
@@ -295,7 +283,7 @@ def _pool_run_cell(task: tuple[int, Scenario]) -> tuple[int, CellOutcome]:
         bank_cache=bank_cache,
         # The parent wrote this seed's market snapshot before the
         # pool started; mmap it instead of regenerating per worker.
-        dataset_path=_snapshot_path_for(
+        dataset_path=market_snapshot_dir(
             cache.root if cache is not None else None, scenario.seed
         ),
     )

@@ -9,7 +9,7 @@ twelve-day price history for every market in the pool.
 
 The fields are deliberately JSON scalars so a scenario fingerprints
 and round-trips losslessly — the fingerprint keys the on-disk result
-cache and the per-scenario :class:`~repro.sim.rng.RngStream`.
+cache.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import itertools
 import json
 from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
-
-from repro.sim.rng import RngStream
 
 #: Bump when the Scenario schema or summary shape changes; stale cache
 #: entries from older schemas are then never confused for current ones.
@@ -137,15 +135,15 @@ class Scenario:
         return cls(**dict(data))
 
     def label(self) -> str:
-        """Human-readable cell key, also the RngStream fork name."""
+        """Human-readable cell key, shown in progress and failure lines."""
         if self.approach == "spottune":
             core = (
                 f"spottune/{self.workload}/theta={self.theta:g}"
                 f"/pred={self.predictor}/ckpt={self.checkpoint_policy}"
             )
             # Ablation knobs only appear when flipped off their
-            # defaults, so existing cell labels (and the RngStreams
-            # forked from them) stay stable as axes are added.
+            # defaults, so existing cell labels stay stable as axes
+            # are added.
             if self.reschedule_after != RESCHEDULE_AFTER_DEFAULT:
                 core += f"/recycle={self.reschedule_after:g}"
             if not self.refund_enabled:
@@ -153,7 +151,7 @@ class Scenario:
         else:
             core = f"single_spot/{self.workload}/instance={self.instance}"
         # Like the other ablation knobs, a default mcnt keeps the
-        # pre-existing label so RngStream keys survive the new axis.
+        # pre-existing label.
         if self.mcnt != MCNT_DEFAULT:
             core += f"/mcnt={self.mcnt}"
         return f"{core}/scale={self.scale}"
@@ -166,21 +164,6 @@ class Scenario:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def rng_stream(self) -> RngStream:
-        """The scenario's private random stream.
-
-        Forked off the scenario seed by the cell label, so adding new
-        axes or cells never perturbs the draws of existing cells — the
-        same property :class:`RngStream` gives individual components.
-
-        The core run path does not consume this stream (its
-        determinism flows entirely from ``seed`` through the
-        experiment context); it is the hook for scenario-local
-        stochastic extensions — trace perturbations, sampled
-        sub-grids — so they stay replayable per cell.
-        """
-        return RngStream(self.seed, f"sweep/{self.label()}")
 
 
 #: The dataclass default of ``reschedule_after``, derived rather than

@@ -70,17 +70,6 @@ class MetricCurve:
             raise ValueError(f"steps are 1-based: {step}")
         return float(self.values[min(step, self.max_steps) - 1])
 
-    def values_at(self, steps) -> np.ndarray:
-        """Vectorised :meth:`value_at` over a sequence of steps.
-
-        Pure indexing into the precomputed series — each element is the
-        identical float64 ``value_at`` returns for that step.
-        """
-        steps = np.asarray(steps, dtype=np.int64)
-        if steps.size and steps.min() < 1:
-            raise ValueError(f"steps are 1-based: {steps.min()}")
-        return self.values[np.minimum(steps, self.max_steps) - 1]
-
     @property
     def final_value(self) -> float:
         return float(self.values[-1])
@@ -213,10 +202,6 @@ class SimulatedCurveSource:
 
     def metric_at(self, step: int) -> float:
         return self.curve.value_at(step)
-
-    def metrics_at(self, steps) -> np.ndarray:
-        """Bulk metric lookup for a poll tick's worth of steps."""
-        return self.curve.values_at(steps)
 
     @property
     def true_final(self) -> float:

@@ -9,15 +9,19 @@ source.  Metric sources come in two flavours behind one interface:
 * :class:`LiveTrainerSource` — a real numpy trainer advanced lazily to
   the requested step (the end-to-end examples).
 
-A simulated trial also keeps EarlyCurve's table of its metric points
+Every trial also keeps EarlyCurve's table of its metric points
 (:meth:`Trial.observation_table`), built on first use and shared by
-every run of the trial.
+every run of the trial.  The orchestrator observes metrics only
+through it, so a live trainer is trained to max_trial_steps once, when
+its table is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Protocol
+
+import numpy as np
 
 from repro.mlalgos.base import IterativeTrainer
 from repro.workloads.curves import SimulatedCurveSource, make_curve
@@ -88,12 +92,8 @@ class Trial:
     def metric_at(self, step: int) -> float:
         return self.source.metric_at(step)
 
-    def metrics_at(self, steps):
-        """Bulk :meth:`metric_at` — vectorised when the source supports
-        it (simulated curves), a per-step loop otherwise."""
-        bulk = getattr(self.source, "metrics_at", None)
-        if bulk is not None:
-            return bulk(steps)
+    def metrics_at(self, steps) -> list[float]:
+        """:meth:`metric_at` at each of ``steps``, in order."""
         return [self.source.metric_at(step) for step in steps]
 
     def true_final(self) -> float:
@@ -105,22 +105,27 @@ class Trial:
         of the metric at steps 1, 1 + stride, ... up to max_trial_steps.
 
         Built on the first call and kept with the trial, so every run of
-        the trial shares it and its prediction memo.  The values are a
-        read-only view of the curve where it covers every step.  ``None``
-        for a source without a precomputed curve (a live trainer).
+        the trial shares it and its prediction memo.  A simulated curve
+        that covers every step is viewed read-only in place.  Any other
+        source (a live trainer, a shorter curve) is read once through
+        :meth:`metrics_at` into float64, the values ``observe`` would
+        record point by point.
         """
-        if not isinstance(self.source, SimulatedCurveSource):
-            return None
         table = self._tables.get(stride)
         if table is None:
             from repro.earlycurve.predictor import ObservationTable
 
-            curve = self.source.curve
             last = self.max_trial_steps
-            if curve.max_steps >= last:
-                values = curve.values[:last:stride]
+            source = self.source
+            full_curve = (
+                isinstance(source, SimulatedCurveSource)
+                and source.curve.max_steps >= last
+            )
+            if full_curve:
+                values = source.curve.values[:last:stride]
             else:
-                values = curve.values_at(range(1, last + 1, stride))
+                steps = range(1, last + 1, stride)
+                values = np.array(self.metrics_at(steps), dtype=float)
             values.flags.writeable = False
             table = self._tables[stride] = ObservationTable.build(values, stride)
         return table

@@ -17,10 +17,10 @@ bitwise-identical to the frozen scalar core in
 * the EarlyCurve memo and observation tables: one fit per (trial,
   observed count) in a context, and tables that reproduce
   ``observe`` point by point;
-* unit bitwise pins for each building block (LSTM inference, the
-  stacked LSTM pass, the RevPred split forward, Tributary inference,
+* unit bitwise pins for each building block (the stacked LSTM pass,
+  the RevPred split forward, Tributary inference,
   the bank's stacked pass against the frozen per-query predictor,
-  plateau counter, bulk curve lookup, the memoising predictor's batch
+  plateau counter, the memoising predictor's batch
   entry point, the per-tick provisioning pass against one-job calls and
   the old per-instance loop, the oracle's peak-price memo, feature row
   memo, market snapshots).
@@ -71,7 +71,6 @@ from repro.sim.events import Simulation
 from repro.sim.rng import RngStream
 from repro.sweep.cache import canonical_json
 from repro.workloads.catalog import get_workload
-from repro.workloads.curves import make_curve
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_batched_core.json"
 
@@ -137,6 +136,22 @@ class TestGoldenSummaries:
 # ----------------------------------------------------------------------
 # Live orchestrator vs the frozen scalar reference
 # ----------------------------------------------------------------------
+#: (theta, revocation_heavy, continue_top) of each live-trainer case;
+#: its id names theta and only the knobs flipped off the oracle,
+#: no-continuation default.
+_LIVE_TRAINER_CASES = [
+    (
+        (theta, revocation_heavy, continue_top),
+        f"{theta}"
+        + ("-constant" if revocation_heavy else "")
+        + ("-continue" if continue_top else ""),
+    )
+    for theta in (0.55, 0.7, 1.0)
+    for revocation_heavy in (False, True)
+    for continue_top in (False, True)
+]
+
+
 class TestLiveVsReference:
     def test_revpred_bank_cell(self, context):
         """The full split-inference path against the scalar forward."""
@@ -161,6 +176,7 @@ class TestLiveVsReference:
         revocation_heavy=st.booleans(),
         continue_top=st.booleans(),
         reschedule_after=st.sampled_from([1800.0, 3600.0]),
+        poll_interval=st.sampled_from([10.0, 150.0]),
     )
     # GBTR at theta 1.0 with the oracle and mcnt 1: no golden pins it.
     @example(
@@ -171,6 +187,20 @@ class TestLiveVsReference:
         revocation_heavy=False,
         continue_top=False,
         reschedule_after=3600.0,
+        poll_interval=10.0,
+    )
+    # A poll wider than the 120 s notice window finds VMs already
+    # revoked, here three: two with unsaved progress and one without.
+    # The 10 s default never finds one with unsaved progress.
+    @example(
+        workload="SVM",
+        theta=1.0,
+        policy="notice",
+        mcnt=3,
+        revocation_heavy=True,
+        continue_top=False,
+        reschedule_after=1800.0,
+        poll_interval=150.0,
     )
     @settings(max_examples=8, deadline=None)
     def test_random_cells(
@@ -182,6 +212,7 @@ class TestLiveVsReference:
         revocation_heavy,
         continue_top,
         reschedule_after,
+        poll_interval,
     ):
         """Random cells leave bitwise-identical runs through both cores:
         every field of the run result (predictions, selection, each job
@@ -195,7 +226,10 @@ class TestLiveVsReference:
         provisioner then bids barely above the current price and VMs
         are revoked constantly, exercising rollback, failed-deadline
         checkpoints and segment accounting; ``False`` runs the oracle,
-        the revocation-free extreme.
+        the revocation-free extreme.  At the default 10 s poll a VM is
+        found lost only at the first poll after its launch, before it
+        has made progress; a 150 s poll also finds VMs lost with
+        unsaved progress, the lost-VM rollback's other case.
         """
         context = _PROPERTY_CONTEXT
         predictor = (
@@ -206,23 +240,33 @@ class TestLiveVsReference:
         kwargs = dict(
             checkpoint_policy=policy, mcnt=mcnt, reschedule_after=reschedule_after
         )
-        live = _full_run(context, workload, theta, predictor, continue_top, **kwargs)
+        live = _full_run(
+            context, workload, theta, predictor, continue_top, poll_interval, **kwargs
+        )
         reference = _full_run(
             context,
             workload,
             theta,
             predictor,
             continue_top,
+            poll_interval,
             orchestrator_cls=ReferenceOrchestrator,
             **kwargs,
         )
         assert live == reference
 
-    @pytest.mark.parametrize("theta", [0.7, 1.0])
-    def test_live_trainer_trials(self, theta):
-        """Live-trainer trials have no observation table and no memo:
-        they observe point by point and are polled every tick while
-        early shutdown may fire, and still match the reference."""
+    @pytest.mark.parametrize(
+        "theta, revocation_heavy, continue_top",
+        [case for case, _ in _LIVE_TRAINER_CASES],
+        ids=[case_id for _, case_id in _LIVE_TRAINER_CASES],
+    )
+    def test_live_trainer_trials(self, theta, revocation_heavy, continue_top):
+        """Live-trainer trials take the simulated trials' path: each
+        reads its trainer once into an observation table, replays quiet
+        ticks and memoises its predictions, and still matches the
+        reference, which observes point by point and polls every tick.
+        ``revocation_heavy`` runs the constant-0 predictor, as in
+        :meth:`test_random_cells`."""
         from repro.core.config import SpotTuneConfig
         from repro.core.orchestrator import SpotTuneOrchestrator
         from repro.mlalgos.datasets import make_binary_classification
@@ -242,27 +286,37 @@ class TestLiveVsReference:
             )
             for config in workload.configurations()[:2]
         ]
+        predictor = (
+            ConstantPredictor(0.0)
+            if revocation_heavy
+            else OraclePredictor(context.dataset)
+        )
         results = []
         for orchestrator_cls in (SpotTuneOrchestrator, ReferenceOrchestrator):
             orchestrator = orchestrator_cls(
                 workload,
                 trials,
                 context.dataset,
-                OraclePredictor(context.dataset),
+                predictor,
                 SpotTuneConfig(theta=theta, seed=0),
                 speed_model=context.speed_model,
                 start_time=context.replay_start,
             )
-            result = orchestrator.run()
+            result = orchestrator.run(continue_top=continue_top)
             results.append(json.dumps(dataclasses.asdict(result), sort_keys=True))
         assert results[0] == results[1]
-        assert all(not trial._tables for trial in trials)
+        assert all(trial._tables for trial in trials)
 
 
-def _full_run(context, workload, theta, predictor, continue_top, **kwargs):
+def _full_run(
+    context, workload, theta, predictor, continue_top, poll_interval, **kwargs
+):
     """Everything a run leaves, as exact text: the whole ``RunResult``
     and the performance matrix's means and counts."""
     orchestrator = make_orchestrator(context, workload, theta, predictor, **kwargs)
+    orchestrator.config = dataclasses.replace(
+        orchestrator.config, poll_interval=poll_interval
+    )
     result = orchestrator.run(continue_top=continue_top)
     matrix = orchestrator.matrix
     return (
@@ -281,16 +335,10 @@ _PROPERTY_CONTEXT = build_context(seed=0)
 # Building-block bitwise pins
 # ----------------------------------------------------------------------
 class TestInferenceBitwise:
-    def test_lstm_infer_matches_forward(self):
-        rng = np.random.default_rng(7)
-        lstm = LSTM(6, 24, num_layers=3, rng=rng)
-        x = rng.normal(size=(4, 59, 6))
-        np.testing.assert_array_equal(lstm.infer(x), lstm.forward(x))
-
     @pytest.mark.parametrize("models", [1, 6])
     def test_stacked_lstm_matches_one_row_infer(self, models):
         """Each row of one stacked pass over M differently-weighted
-        LSTMs is that model's one-row ``infer``, bit for bit."""
+        LSTMs is that model's one-row ``forward``, bit for bit."""
         rng = np.random.default_rng(23)
         lstms = [
             LSTM(7, 24, num_layers=3, rng=np.random.default_rng(40 + m))
@@ -300,7 +348,7 @@ class TestInferenceBitwise:
         stacked = infer_stacked(lstms, x)
         assert stacked.shape == (models, 60, 24)
         for m, lstm in enumerate(lstms):
-            assert stacked[m].tobytes() == lstm.infer(x[m : m + 1])[0].tobytes()
+            assert stacked[m].tobytes() == lstm.forward(x[m : m + 1])[0].tobytes()
 
     def test_stacked_lstm_rejects_mixed_shapes(self):
         lstms = [LSTM(6, 24, num_layers=3), LSTM(6, 16, num_layers=3)]
@@ -466,25 +514,6 @@ class TestEarlyCurveMemo:
         )
         assert len(fits) > first_fits
         assert second.predictions == fresh.predictions
-
-
-class TestBulkCurveLookup:
-    @given(
-        st.integers(min_value=1, max_value=200),
-        st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=40),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_values_at_matches_value_at(self, seed, steps):
-        curve = make_curve(get_workload("LiR"), {"lr": 0.01, "bs": 64}, seed=seed)
-        steps = sorted(steps)
-        bulk = curve.values_at(steps)
-        scalar = [curve.value_at(step) for step in steps]
-        np.testing.assert_array_equal(bulk, scalar)
-
-    def test_values_at_rejects_non_positive(self):
-        curve = make_curve(get_workload("LiR"), {"lr": 0.01, "bs": 64}, seed=0)
-        with pytest.raises(ValueError):
-            curve.values_at([0, 1])
 
 
 class TestProbabilityMany:

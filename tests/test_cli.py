@@ -130,3 +130,32 @@ class TestClosedOutput:
         assert process.returncode == 141, err
         assert "output closed" in err
         assert "Traceback" not in err
+
+
+class TestServeOptions:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--lease-ttl", "0"], "lease-ttl must be positive: 0.0"),
+            (["--max-attempts", "0"], "max-attempts must be >= 1: 0"),
+            (["--jobs", "-1"], "jobs must be >= 0: -1"),
+        ],
+        ids=["lease-ttl-0", "max-attempts-0", "jobs-negative"],
+    )
+    def test_unusable_queue_options_rejected_before_binding(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        """Options every submitted job would fail on stop ``repro
+        serve`` before it binds a port or makes its cache."""
+        import repro.serve
+
+        def no_service(*args, **kwargs):
+            raise AssertionError("constructed a service for unusable options")
+
+        monkeypatch.setattr(repro.serve, "SweepService", no_service)
+        cache = tmp_path / "cache"
+        assert main(["serve", "--cache-dir", str(cache), "--port", "0", *argv]) == 2
+        err = capsys.readouterr().err
+        assert f"cannot serve: {message}" in err
+        assert "Traceback" not in err
+        assert not cache.exists()

@@ -88,13 +88,6 @@ class TestFingerprint:
         fingerprints = {base.fingerprint()} | {v.fingerprint() for v in variants}
         assert len(fingerprints) == len(variants) + 1
 
-    def test_rng_stream_deterministic_and_cell_local(self):
-        a = Scenario(workload="LoR", seed=5)
-        b = Scenario(workload="LoR", seed=5)
-        c = Scenario(workload="LiR", seed=5)
-        assert a.rng_stream().uniform() == b.rng_stream().uniform()
-        assert a.rng_stream().uniform() != c.rng_stream().uniform()
-
 
 class TestScenarioGrid:
     def test_cartesian_product(self):
