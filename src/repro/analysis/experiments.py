@@ -41,20 +41,16 @@ APPROACHES = (
 )
 
 
-def _sweep(
-    context: ExperimentContext, spec: dict, runner: SweepRunner | None = None
-) -> SweepResult:
+def _sweep(context: ExperimentContext, spec: dict) -> SweepResult:
     """Execute a declarative grid for one figure.
 
-    The default runner executes in-process against the shared
-    experiment context, so a figure's cells land in the context's
-    memoised run cache exactly as the hand-rolled loops did (Fig. 7's
-    theta=0.7 rows stay Fig. 9's and Fig. 12's inputs).  Callers can
-    pass a pooled or caching :class:`SweepRunner` instead.
+    It runs in-process against the shared experiment context, so a
+    figure's cells land in the context's memoised run cache exactly as
+    the hand-rolled loops did (Fig. 7's theta=0.7 rows stay Fig. 9's
+    and Fig. 12's inputs).
     """
     grid = ScenarioGrid.from_spec({"seed": context.seed, "scale": context.scale, **spec})
-    runner = runner if runner is not None else SweepRunner(context=context)
-    return runner.run(grid)
+    return SweepRunner(context=context).run(grid)
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +244,6 @@ def fig7_cost_jct_pcr(
     context: ExperimentContext,
     workloads: tuple[str, ...] | None = None,
     predictor_kind: str = "revpred",
-    runner: SweepRunner | None = None,
 ) -> Fig7Result:
     """Cost, JCT, and normalised PCR for the four approaches."""
     workloads = workloads if workloads is not None else tuple(BENCHMARK_WORKLOADS)
@@ -269,7 +264,6 @@ def fig7_cost_jct_pcr(
                 },
             ]
         },
-        runner,
     )
     cost: dict[str, dict[str, float]] = {}
     jct: dict[str, dict[str, float]] = {}
@@ -331,7 +325,6 @@ def fig8_theta_sensitivity(
     thetas: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
     workloads: tuple[str, ...] | None = None,
     predictor_kind: str = "revpred",
-    runner: SweepRunner | None = None,
 ) -> Fig8Result:
     """Cost, JCT, and selection accuracy as theta sweeps 0.1..1.0."""
     workloads = workloads if workloads is not None else tuple(BENCHMARK_WORKLOADS)
@@ -343,7 +336,6 @@ def fig8_theta_sensitivity(
             "theta": list(thetas),
             "predictor": predictor_kind,
         },
-        runner,
     )
     cost = {name: [] for name in workloads}
     jct = {name: [] for name in workloads}
@@ -390,7 +382,6 @@ def fig9_refund_contribution(
     context: ExperimentContext,
     workloads: tuple[str, ...] | None = None,
     predictor_kind: str = "revpred",
-    runner: SweepRunner | None = None,
 ) -> Fig9Result:
     """Free vs charged steps and refund value share at theta = 0.7."""
     workloads = workloads if workloads is not None else tuple(BENCHMARK_WORKLOADS)
@@ -402,7 +393,6 @@ def fig9_refund_contribution(
             "theta": 0.7,
             "predictor": predictor_kind,
         },
-        runner,
     )
     free, refund = {}, {}
     for name in workloads:
@@ -547,7 +537,6 @@ class Fig10cResult:
 def fig10c_predictor_effect(
     context: ExperimentContext,
     workloads: tuple[str, ...] | None = None,
-    runner: SweepRunner | None = None,
 ) -> Fig10cResult:
     """SpotTune(0.7) with RevPred vs with the Tributary predictor."""
     workloads = workloads if workloads is not None else tuple(BENCHMARK_WORKLOADS)
@@ -559,7 +548,6 @@ def fig10c_predictor_effect(
             "theta": 0.7,
             "predictor": ["revpred", "tributary"],
         },
-        runner,
     )
     cost, pcr = {}, {}
     for name in workloads:
@@ -678,7 +666,6 @@ def fig12_checkpoint_overhead(
     context: ExperimentContext,
     workloads: tuple[str, ...] | None = None,
     predictor_kind: str = "revpred",
-    runner: SweepRunner | None = None,
 ) -> Fig12Result:
     """Checkpoint-restore share of wall time per workload, plus the
     §IV-F throughput calibration points."""
@@ -691,7 +678,6 @@ def fig12_checkpoint_overhead(
             "theta": 0.7,
             "predictor": predictor_kind,
         },
-        runner,
     )
     overhead = {}
     for name in workloads:

@@ -604,9 +604,16 @@ def _run_serve(args: argparse.Namespace) -> int:
     except ValueError as error:
         print(f"cannot serve: {error}", file=sys.stderr)
         return 2
-    service = SweepService(
-        registry, host=args.host, port=args.port, quiet=args.quiet
-    )
+    try:
+        service = SweepService(
+            registry, host=args.host, port=args.port, quiet=args.quiet
+        )
+    except (OSError, OverflowError) as error:
+        # A busy or out-of-range port.  The registry has already
+        # adopted the jobs left running; stop their runners again.
+        registry.close()
+        print(f"cannot serve: {error}", file=sys.stderr)
+        return 2
     adopted = [r["id"] for r in registry.list_jobs() if r["state"] == "running"]
     if adopted:
         print(f"re-adopted {len(adopted)} running job(s): {', '.join(adopted)}")

@@ -58,7 +58,7 @@ class ObservationTable:
     hold the plateau counter ``plateau_runs[count - 1]``, and
     ``plateau_next[count - 1] + 1`` is the first count at or after it
     where the plateau test holds (``len(values) + 1`` when none does).
-    Both use the default plateau window and tolerance.  ``predictions``
+    Both use ``PLATEAU_WINDOW`` and ``PLATEAU_TOLERANCE``.  ``predictions``
     memoises :meth:`EarlyCurvePredictor.predict_final` by observed
     count, which decides the observed points and hence the prediction.
     """
@@ -104,19 +104,14 @@ class EarlyCurvePredictor:
 
     max_trial_steps: int
     theta: float
-    model: StagedCurveModel = field(default_factory=StagedCurveModel)
-    plateau_window: int = PLATEAU_WINDOW
-    plateau_tolerance: float = PLATEAU_TOLERANCE
     steps: list[int] = field(default_factory=list)
     values: list[float] = field(default_factory=list)
     #: Length of the run of trailing consecutive points whose relative
     #: change stayed under the tolerance — the incremental form of the
     #: windowed plateau scan (O(1) per observation instead of O(window)
-    #: per poll).  ``_tracked`` records how many values the run has
-    #: accounted for, so values mutated behind ``observe``'s back fall
-    #: back to the full scan instead of trusting a stale counter.
+    #: per poll).  Only :meth:`observe` and :meth:`observe_table` add
+    #: values, and both keep it current.
     _plateau_run: int = field(default=0, repr=False, compare=False)
-    _tracked: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_trial_steps <= 0:
@@ -143,9 +138,8 @@ class EarlyCurvePredictor:
             previous = self.values[-2]
             rate = abs(self.values[-1] - previous) / max(abs(previous), 1e-12)
             self._plateau_run = (
-                self._plateau_run + 1 if rate < self.plateau_tolerance else 0
+                self._plateau_run + 1 if rate < PLATEAU_TOLERANCE else 0
             )
-        self._tracked = len(self.values)
 
     def observe_table(self, table: ObservationTable, count: int) -> None:
         """Record ``table``'s points up to the ``count``-th, leaving the
@@ -159,7 +153,6 @@ class EarlyCurvePredictor:
         )
         self.values.extend(table.values[seen:count].tolist())
         self._plateau_run = int(table.plateau_runs[count - 1])
-        self._tracked = count
 
     @property
     def observed_steps(self) -> int:
@@ -168,21 +161,12 @@ class EarlyCurvePredictor:
     def has_converged(self) -> bool:
         """Plateau test over the trailing window.
 
-        Answered from the run counter maintained by :meth:`observe` —
-        scalar float64 ops reproduce the windowed numpy scan bit for
-        bit, and "all window rates under tolerance" is exactly "the
-        trailing run is at least window long".  Values injected without
-        going through ``observe`` (tests, deserialisation) are detected
-        via ``_tracked`` and fall back to the full windowed scan.
+        Answered from the run counter that :meth:`observe` and
+        :meth:`observe_table` maintain — scalar float64 ops reproduce
+        the windowed numpy scan bit for bit, and "all window rates under
+        tolerance" is exactly "the trailing run is at least window long".
         """
-        if len(self.values) < self.plateau_window + 1:
-            return False
-        if len(self.values) != self._tracked:
-            tail = np.asarray(self.values[-(self.plateau_window + 1) :])
-            denominators = np.maximum(np.abs(tail[:-1]), 1e-12)
-            rates = np.abs(np.diff(tail)) / denominators
-            return bool(np.all(rates < self.plateau_tolerance))
-        return self._plateau_run >= self.plateau_window
+        return self._plateau_run >= PLATEAU_WINDOW
 
     def should_stop(self) -> Optional[StopReason]:
         """Whether the job can stop now, and why."""
@@ -203,7 +187,7 @@ class EarlyCurvePredictor:
                 observed_steps=self.observed_steps,
             )
         if self.has_converged():
-            tail = self.values[-self.plateau_window :]
+            tail = self.values[-PLATEAU_WINDOW:]
             return PredictionOutcome(
                 predicted_final=float(np.mean(tail)),
                 mode="converged",
@@ -215,7 +199,9 @@ class EarlyCurvePredictor:
         points_per_step = len(self.values) / max(self.observed_steps, 1)
         target_index = self.max_trial_steps * points_per_step - 1.0
         return PredictionOutcome(
-            predicted_final=self.model.fit_predict(np.asarray(self.values), target_index),
+            predicted_final=StagedCurveModel().fit_predict(
+                np.asarray(self.values), target_index
+            ),
             mode="extrapolated",
             observed_steps=self.observed_steps,
         )

@@ -15,8 +15,10 @@ retrieval, and graceful cancellation:
   grid fingerprint), crash re-adoption, the cancellation ledger;
 * :mod:`repro.serve.streams` — the event-log tail generator (the
   coordinator's adaptive backoff, reused);
-* :mod:`repro.serve.app` — :class:`SweepService` and the request
-  routing (``/v1/sweeps`` and friends);
+* :mod:`repro.serve.app` — :class:`SweepService` and its one route
+  table: each row is a method, a path pattern (``/v1/sweeps/{id}``
+  and friends) that is also the request metrics' route label, and a
+  handler; one dispatcher maps errors to statuses for every route;
 * :mod:`repro.serve.client` — :class:`SweepClient`, a stdlib client
   with cursor pagination and streaming.
 

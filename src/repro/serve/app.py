@@ -18,6 +18,11 @@ A :class:`SweepService` wraps a threaded ``http.server`` around a
 * ``POST /v1/sweeps/{id}/cancel`` — graceful cancellation;
 * ``GET /healthz`` — liveness.
 
+Every request goes through one route table, ``_Handler._ROUTES``: a
+row is a method, a path pattern (an ``{id}`` segment matches a job id)
+and a handler, and the pattern is the route's metrics label.  A new
+route is one row and one handler.
+
 One request, one worker thread (``ThreadingHTTPServer``): long-lived
 event streams coexist with status polls from other tenants.  A client
 that walks away mid-stream costs the server one ``BrokenPipeError`` —
@@ -48,28 +53,19 @@ from repro.sweep.cache import canonical_json
 _SUBMIT_FIELDS = {"spec", "jobs", "lease_ttl", "resume"}
 
 
-def _route_template(parts: list) -> str:
-    """The low-cardinality route label for a request path.
-
-    Metrics label the *template* (``/v1/sweeps/{id}``), never the raw
-    path — otherwise every job id mints a fresh label set and the
-    registry grows without bound.
-    """
-    if parts == ["healthz"]:
-        return "/healthz"
-    if parts == ["metrics"]:
-        return "/metrics"
-    if parts == ["v1", "sweeps"]:
-        return "/v1/sweeps"
-    if len(parts) == 3 and parts[:2] == ["v1", "sweeps"]:
-        return "/v1/sweeps/{id}"
-    if (
-        len(parts) == 4
-        and parts[:2] == ["v1", "sweeps"]
-        and parts[3] in ("events", "result", "cancel")
-    ):
-        return "/v1/sweeps/{id}/" + parts[3]
-    return "<unmatched>"
+def _match(pattern: str, parts: list) -> Optional[list]:
+    """The path segments ``{id}`` slots take, if ``parts`` fits
+    ``pattern``; ``None`` otherwise."""
+    expected = pattern.strip("/").split("/")
+    if len(expected) != len(parts):
+        return None
+    slots = []
+    for want, got in zip(expected, parts):
+        if want == "{id}":
+            slots.append(got)
+        elif want != got:
+            return None
+    return slots
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -84,18 +80,21 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.service.quiet:
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload, headers: Optional[dict] = None):
-        body = (canonical_json(payload) + "\n").encode("utf-8")
+    def _send(
+        self, status: int, body: bytes, content_type: str, headers: Optional[dict] = None
+    ) -> None:
+        """Write one fixed-length reply."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_error_json(self, status: int, message: str):
-        self._send_json(status, {"error": message})
+    def _send_json(self, status: int, payload) -> None:
+        body = (canonical_json(payload) + "\n").encode("utf-8")
+        self._send(status, body, "application/json")
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -117,90 +116,61 @@ class _Handler(BaseHTTPRequestHandler):
         self._obs_status = code
         super().send_response(code, message)
 
-    def _dispatch(self, method: str, route_fn) -> None:
-        url = urlsplit(self.path)
-        parts = [p for p in url.path.split("/") if p]
-        template = _route_template(parts)
+    def do_GET(self):  # noqa: N802 — stdlib naming
+        self._dispatch("GET")
+
+    def do_POST(self):  # noqa: N802 — stdlib naming
+        self._dispatch("POST")
+
+    def _dispatch(self, method: str) -> None:
+        path = urlsplit(self.path).path
+        parts = [p for p in path.split("/") if p]
+        label, handler, slots = "<unmatched>", None, []
+        for route_method, pattern, route_handler in self._ROUTES:
+            matched = _match(pattern, parts)
+            if matched is None:
+                continue
+            # A known path asked for with another method keeps its
+            # route's label (and still gets the 404 below).
+            label = pattern
+            if route_method == method:
+                handler, slots = route_handler, matched
+                break
         self._obs_status = 0
         started = time.monotonic()
         try:
-            route_fn(url, parts)
+            if handler is None:
+                self._send_json(404, {"error": f"no such route: {path}"})
+            else:
+                handler(self, *slots)
+        except SpecValidationError as error:
+            self._send_json(422, {"error": str(error)})
+        except UnknownJobError as error:
+            self._send_json(404, {"error": str(error)})
+        except JobConflictError as error:
+            self._send_json(409, {"error": str(error)})
+        except ValueError as error:
+            self._send_json(400, {"error": str(error)})
+        except (BrokenPipeError, ConnectionResetError):
+            # The client hung up mid-stream; the job is unaffected.
+            self.close_connection = True
         finally:
             obs.observe(
                 "repro_http_request_seconds",
                 time.monotonic() - started,
-                route=template,
+                route=label,
             )
             obs.inc(
                 "repro_http_requests_total",
-                route=template,
+                route=label,
                 method=method,
                 status=str(self._obs_status),
             )
 
-    def do_GET(self):  # noqa: N802 — stdlib naming
-        self._dispatch("GET", self._route_get)
-
-    def do_POST(self):  # noqa: N802 — stdlib naming
-        self._dispatch("POST", self._route_post)
-
-    def _route_get(self, url, parts):
-        query = parse_qs(url.query)
-        try:
-            if parts == ["healthz"]:
-                self._send_json(200, {"ok": True})
-            elif parts == ["metrics"]:
-                self._get_metrics()
-            elif parts == ["v1", "sweeps"]:
-                self._send_json(
-                    200, {"jobs": self.service.registry.list_jobs()}
-                )
-            elif len(parts) == 3 and parts[:2] == ["v1", "sweeps"]:
-                self._send_json(200, self.service.registry.status(parts[2]))
-            elif len(parts) == 4 and parts[:2] == ["v1", "sweeps"]:
-                if parts[3] == "events":
-                    self._get_events(parts[2], query)
-                elif parts[3] == "result":
-                    self._get_result(parts[2])
-                else:
-                    self._send_error_json(404, f"no such route: {url.path}")
-            else:
-                self._send_error_json(404, f"no such route: {url.path}")
-        except UnknownJobError as error:
-            self._send_error_json(404, str(error))
-        except JobConflictError as error:
-            self._send_error_json(409, str(error))
-        except ValueError as error:
-            self._send_error_json(400, str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            # The client hung up mid-stream; the job is unaffected.
-            self.close_connection = True
-
-    def _route_post(self, url, parts):
-        try:
-            if parts == ["v1", "sweeps"]:
-                self._post_submit()
-            elif (
-                len(parts) == 4
-                and parts[:2] == ["v1", "sweeps"]
-                and parts[3] == "cancel"
-            ):
-                record = self.service.registry.cancel(parts[2])
-                self._send_json(200, record)
-            else:
-                self._send_error_json(404, f"no such route: {url.path}")
-        except SpecValidationError as error:
-            self._send_error_json(422, str(error))
-        except UnknownJobError as error:
-            self._send_error_json(404, str(error))
-        except JobConflictError as error:
-            self._send_error_json(409, str(error))
-        except ValueError as error:
-            self._send_error_json(400, str(error))
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-
     # -- handlers -------------------------------------------------------
+    def _get_healthz(self):
+        self._send_json(200, {"ok": True})
+
     def _get_metrics(self):
         """Prometheus text: this process's registry merged with the
         latest snapshot each attached worker published to its job's
@@ -209,14 +179,10 @@ class _Handler(BaseHTTPRequestHandler):
         snapshots = [obs.REGISTRY.snapshot()]
         snapshots.extend(self.service.registry.live_metric_snapshots())
         text = obs.prometheus_text(obs.merge_snapshots(snapshots))
-        body = text.encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._send(200, text.encode("utf-8"), "text/plain; version=0.0.4; charset=utf-8")
+
+    def _get_jobs(self):
+        self._send_json(200, {"jobs": self.service.registry.list_jobs()})
 
     def _post_submit(self):
         payload = self._read_body()
@@ -253,8 +219,12 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _get_events(self, job_id: str, query: dict):
+    def _get_status(self, job_id: str):
+        self._send_json(200, self.service.registry.status(job_id))
+
+    def _get_events(self, job_id: str):
         registry = self.service.registry
+        query = parse_qs(urlsplit(self.path).query)
         cursor = self._int_param(query, "cursor", 0)
         follow = self._int_param(query, "follow", 1)
         limit = self._int_param(query, "limit", 0)
@@ -263,13 +233,12 @@ class _Handler(BaseHTTPRequestHandler):
                 job_id, cursor, limit or None
             )
             lines = "".join(canonical_json(e) + "\n" for e in events)
-            body = lines.encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            self.send_header("Content-Length", str(len(body)))
-            self.send_header("X-Repro-Next-Cursor", str(next_cursor))
-            self.end_headers()
-            self.wfile.write(body)
+            self._send(
+                200,
+                lines.encode("utf-8"),
+                "application/x-ndjson",
+                {"X-Repro-Next-Cursor": str(next_cursor)},
+            )
             return
         registry.job(job_id)  # 404 before committing to a stream
         self.send_response(200)
@@ -295,13 +264,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_result(self, job_id: str):
         text = self.service.registry.result_text(job_id)
-        body = text.encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
         # Exact bytes: this body is the --out file, not a re-encoding.
-        self.wfile.write(body)
+        self._send(200, text.encode("utf-8"), "application/json")
+
+    def _post_cancel(self, job_id: str):
+        self._send_json(200, self.service.registry.cancel(job_id))
 
     @staticmethod
     def _int_param(query: dict, name: str, default: int) -> int:
@@ -312,6 +279,21 @@ class _Handler(BaseHTTPRequestHandler):
             return int(values[-1])
         except ValueError:
             raise ValueError(f"{name} must be an integer: {values[-1]!r}")
+
+    #: Every route: method, path pattern, handler.  An ``{id}`` segment
+    #: matches any one path segment and reaches the handler as the job
+    #: id.  The pattern is also the route's metrics label, so job ids
+    #: never mint label sets of their own.
+    _ROUTES = (
+        ("GET", "/healthz", _get_healthz),
+        ("GET", "/metrics", _get_metrics),
+        ("GET", "/v1/sweeps", _get_jobs),
+        ("POST", "/v1/sweeps", _post_submit),
+        ("GET", "/v1/sweeps/{id}", _get_status),
+        ("GET", "/v1/sweeps/{id}/events", _get_events),
+        ("GET", "/v1/sweeps/{id}/result", _get_result),
+        ("POST", "/v1/sweeps/{id}/cancel", _post_cancel),
+    )
 
 
 class SweepService:

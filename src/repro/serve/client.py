@@ -17,6 +17,7 @@ from __future__ import annotations
 import http.client
 import json
 import time
+from contextlib import contextmanager
 from typing import Iterator, Optional
 from urllib.parse import urlencode, urlsplit
 
@@ -33,6 +34,23 @@ class SweepServiceError(RuntimeError):
         super().__init__(f"HTTP {status}: {message}")
 
 
+def _decode(raw: bytes):
+    """A reply body as JSON, else as text, else ``None`` when empty."""
+    if not raw:
+        return None
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError:
+        return raw.decode("utf-8", "replace")
+
+
+def _check(response: http.client.HTTPResponse) -> None:
+    """Raise :class:`SweepServiceError` unless ``response`` is 2xx; the
+    body is read only then."""
+    if response.status // 100 != 2:
+        raise SweepServiceError(response.status, _decode(response.read()))
+
+
 class SweepClient:
     """Synchronous client; ``base_url`` like ``http://127.0.0.1:8521``."""
 
@@ -45,38 +63,45 @@ class SweepClient:
         self.timeout = timeout
 
     # -- transport ------------------------------------------------------
-    def _connect(
-        self, timeout: Optional[float] = None
-    ) -> http.client.HTTPConnection:
-        return http.client.HTTPConnection(
+    @contextmanager
+    def _open(
+        self,
+        method: str,
+        path: str,
+        body: Optional[dict] = None,
+        timeout: Optional[float] = None,
+    ) -> Iterator[http.client.HTTPResponse]:
+        """One request on its own connection; yields the response with
+        its body unread, and closes the connection after."""
+        conn = http.client.HTTPConnection(
             self.host,
             self.port,
             timeout=self.timeout if timeout is None else timeout,
         )
-
-    def _request(
-        self, method: str, path: str, body: Optional[dict] = None
-    ) -> tuple[int, dict, object]:
-        conn = self._connect()
         try:
             payload = None if body is None else json.dumps(body)
             headers = {} if payload is None else {"Content-Type": "application/json"}
             conn.request(method, path, body=payload, headers=headers)
-            response = conn.getresponse()
-            raw = response.read()
-            try:
-                decoded = json.loads(raw) if raw else None
-            except json.JSONDecodeError:
-                decoded = raw.decode("utf-8", "replace")
-            return response.status, dict(response.headers), decoded
+            yield conn.getresponse()
         finally:
             conn.close()
 
+    def _request(
+        self, method: str, path: str, body: Optional[dict] = None
+    ) -> tuple[int, dict, object]:
+        with self._open(method, path, body) as response:
+            return response.status, dict(response.headers), _decode(response.read())
+
+    def _checked(
+        self, method: str, path: str, body: Optional[dict] = None
+    ) -> tuple[dict, bytes]:
+        """The headers and raw body of a 2xx reply."""
+        with self._open(method, path, body) as response:
+            _check(response)
+            return dict(response.headers), response.read()
+
     def _json(self, method: str, path: str, body: Optional[dict] = None):
-        status, _headers, payload = self._request(method, path, body)
-        if status >= 400:
-            raise SweepServiceError(status, payload)
-        return payload
+        return _decode(self._checked(method, path, body)[1])
 
     # -- operations -----------------------------------------------------
     def submit(
@@ -109,19 +134,10 @@ class SweepClient:
         query = {"follow": 0, "cursor": cursor}
         if limit is not None:
             query["limit"] = limit
-        status, headers, payload = self._request(
+        headers, raw = self._checked(
             "GET", f"/v1/sweeps/{job_id}/events?{urlencode(query)}"
         )
-        if status >= 400:
-            raise SweepServiceError(status, payload)
-        # The page body is NDJSON; _request decoded it only if it was a
-        # single JSON document, so re-split from the raw text form.
-        if payload is None:
-            events = []
-        elif isinstance(payload, str):
-            events = [json.loads(line) for line in payload.splitlines() if line]
-        else:
-            events = [payload]
+        events = [json.loads(line) for line in raw.splitlines() if line]
         return events, int(headers.get("X-Repro-Next-Cursor", cursor))
 
     def stream_events(
@@ -137,41 +153,18 @@ class SweepClient:
         it raises and drops *this connection only* — the server logs a
         broken pipe and the job runs on.
         """
-        conn = self._connect(timeout=timeout)
-        try:
-            query = urlencode({"follow": 1, "cursor": cursor})
-            conn.request("GET", f"/v1/sweeps/{job_id}/events?{query}")
-            response = conn.getresponse()
-            if response.status >= 400:
-                raw = response.read()
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError:
-                    payload = raw.decode("utf-8", "replace")
-                raise SweepServiceError(response.status, payload)
+        query = urlencode({"follow": 1, "cursor": cursor})
+        path = f"/v1/sweeps/{job_id}/events?{query}"
+        with self._open("GET", path, timeout=timeout) as response:
+            _check(response)
             for line in response:
                 line = line.strip()
                 if line:
                     yield json.loads(line)
-        finally:
-            conn.close()
 
     def result_text(self, job_id: str) -> str:
         """The assembled result — the exact ``repro sweep --out`` bytes."""
-        conn = self._connect()
-        try:
-            conn.request("GET", f"/v1/sweeps/{job_id}/result")
-            response = conn.getresponse()
-            raw = response.read()
-            if response.status >= 400:
-                try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError:
-                    payload = raw.decode("utf-8", "replace")
-                raise SweepServiceError(response.status, payload)
-            return raw.decode("utf-8")
-        finally:
-            conn.close()
+        return self._checked("GET", f"/v1/sweeps/{job_id}/result")[1].decode("utf-8")
 
     def cancel(self, job_id: str) -> dict:
         return self._json("POST", f"/v1/sweeps/{job_id}/cancel")

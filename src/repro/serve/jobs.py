@@ -248,9 +248,8 @@ class JobRegistry:
         re-executes.
         """
         with self._lock:
-            for job_dir in sorted(self.jobs_root.iterdir()):
-                record = self._load_record(job_dir.name)
-                if record is None or record["state"] != "running":
+            for record in self.list_jobs():
+                if record["state"] != "running":
                     continue
                 record["resume"] = True
                 self._write_record(record)
@@ -273,7 +272,8 @@ class JobRegistry:
         job_id = record["id"]
         try:
             scenarios = list(ScenarioGrid.from_spec(record["spec"]))
-            emitted, next_seq = self._emitted_events(job_id)
+            logged, next_seq = self.events_page(job_id)
+            emitted = {event["fingerprint"] for event in logged}
             total = record["total"]
 
             seq_counter = {"next": next_seq}
@@ -402,19 +402,6 @@ class JobRegistry:
         return snapshots
 
     # -- events ---------------------------------------------------------
-    def _emitted_events(self, job_id: str) -> tuple[set, int]:
-        """Fingerprints already logged, and the next sequence number."""
-        emitted = set()
-        next_seq = 0
-        for path in sorted(self._events_dir(job_id).glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            emitted.add(payload.get("fingerprint"))
-            next_seq = max(next_seq, int(payload.get("seq", -1)) + 1)
-        return emitted, next_seq
-
     def _append_event(self, job_id: str, seq: int, cell, total: int) -> None:
         fingerprint = cell.scenario.fingerprint()
         payload = {

@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
 import os
+import socket
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -159,3 +161,29 @@ class TestServeOptions:
         assert f"cannot serve: {message}" in err
         assert "Traceback" not in err
         assert not cache.exists()
+
+    @pytest.mark.parametrize("port", ["busy", "99999"])
+    def test_unbindable_port_exits_two_and_stops_adopted_jobs(
+        self, tmp_path, capsys, port
+    ):
+        """A port ``repro serve`` cannot bind ends it with one line and
+        exit 2, after it stops the runners of the jobs it adopted."""
+        from repro.serve import JobRegistry
+
+        cache = tmp_path / "cache"
+        registry = JobRegistry(cache, jobs=0, fsync=False)
+        spec = {"workload": "LiR", "theta": [0.7], "predictor": "oracle"}
+        job_id = registry.submit(spec, jobs=0)[0]["id"]
+        registry.close()
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen()
+            if port == "busy":
+                port = str(holder.getsockname()[1])
+            code = main(["serve", "--cache-dir", str(cache), "--port", port, "--no-fsync"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("cannot serve: "), err
+        assert "Traceback" not in err
+        assert registry.job(job_id)["state"] == "running"
+        assert not [t for t in threading.enumerate() if t.name.startswith("serve-job-")]
