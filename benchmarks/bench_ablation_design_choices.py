@@ -1,4 +1,4 @@
-"""Ablations of SpotTune's design choices (DESIGN.md §6).
+"""Ablations of SpotTune's design choices.
 
 Each ablation removes one mechanism and measures the damage, using the
 fast oracle predictor so the comparison isolates the mechanism itself:

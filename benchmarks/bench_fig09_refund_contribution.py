@@ -31,7 +31,7 @@ def test_fig9_refund_contribution(benchmark, context):
     # on the synthetic market the oracle upper bound is ~25-50% (jump
     # arrivals are less predictable than real spot demand), so the
     # shape claim here is "refunds are a significant, non-accidental
-    # contributor", not the paper's absolute level (see EXPERIMENTS.md).
+    # contributor", not the paper's absolute level.
     for workload, fraction in result.free_step_fraction.items():
         assert fraction > 0.08, (workload, fraction)
     assert result.mean_free_fraction > 0.12

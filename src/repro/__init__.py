@@ -3,8 +3,7 @@ transient cloud resources.
 
 Reproduction of Li et al., "SpotTune: Leveraging Transient Resources
 for Cost-efficient Hyper-parameter Tuning in the Public Cloud"
-(ICDCS 2020).  See README.md for a tour and DESIGN.md for the system
-inventory.
+(ICDCS 2020).  See README.md for a tour of the system.
 
 Quickstart::
 

@@ -1,8 +1,7 @@
 """Experiment runners and reporting for the paper's evaluation.
 
 One runner per figure of the paper's §IV; the benchmark suite under
-``benchmarks/`` is a thin timing wrapper around these, and
-EXPERIMENTS.md records their outputs against the paper's numbers.
+``benchmarks/`` is a thin timing wrapper around these.
 """
 
 from repro.analysis.context import ExperimentContext, build_context

@@ -1,4 +1,4 @@
-"""Plain-text table rendering for benchmark output and EXPERIMENTS.md."""
+"""Plain-text table rendering for benchmark output."""
 
 from __future__ import annotations
 

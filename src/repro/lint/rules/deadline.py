@@ -10,11 +10,11 @@ PR 7 (and enforced here) is to persist *relative* durations
 clock domain every fleet member shares.
 
 The rule flags every ``time.time() + <expr>`` (either operand order)
-in ``src/repro/sweep/distrib/``.  In-memory timeouts belong on
-``time.monotonic()`` — which this rule deliberately does not flag —
-so inside the broker there is no legitimate use of a wall-clock sum:
-the single legacy-compat stamp that remains carries an in-line
-suppression explaining how its readers bound the skew.
+in ``src/repro/sweep/distrib/``, ``src/repro/serve/`` and
+``src/repro/obs/``.  In-memory timeouts belong on ``time.monotonic()``
+— which this rule deliberately does not flag — so inside those
+packages there is no legitimate use of a wall-clock sum, and no line
+there waives the rule.
 """
 
 from __future__ import annotations

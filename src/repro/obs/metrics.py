@@ -19,7 +19,8 @@ Three design constraints shape everything here:
   :func:`merge_snapshots`, so every aggregate must be commutative and
   associative: counters and histograms *sum*, gauges take the *max*
   (the interesting gauges — queue depth, inflight — are "how bad did
-  it get" quantities).
+  it get" quantities).  The rule is written once, in
+  :meth:`MetricsRegistry.absorb`.
 * **Outside simulated time.**  Nothing in this module may be imported
   from ``sim``/``core``/``market`` scopes (the ``no-obs-in-sim`` lint
   rule enforces it), and nothing here feeds back into results — the
@@ -71,25 +72,18 @@ class MetricsRegistry:
         with self._lock:
             self._gauges[key] = float(value)
 
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: object,
-    ) -> None:
+    def observe(self, name: str, value: float, **labels: object) -> None:
         key = (name, _label_key(labels))
         value = float(value)
         with self._lock:
             series = self._histograms.get(key)
-            if series is None or tuple(series["bounds"]) != tuple(buckets):
+            if series is None:
                 # Last slot is the +Inf overflow bucket.
-                series = {
-                    "bounds": tuple(float(b) for b in buckets),
-                    "counts": [0] * (len(buckets) + 1),
+                series = self._histograms[key] = {
+                    "bounds": DEFAULT_BUCKETS,
+                    "counts": [0] * (len(DEFAULT_BUCKETS) + 1),
                     "sum": 0.0,
                 }
-                self._histograms[key] = series
             slot = len(series["bounds"])
             for index, bound in enumerate(series["bounds"]):
                 if value <= bound:
@@ -99,9 +93,7 @@ class MetricsRegistry:
             series["sum"] += value
 
     @contextmanager
-    def timer(
-        self, name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS, **labels: object
-    ) -> Iterator[None]:
+    def timer(self, name: str, **labels: object) -> Iterator[None]:
         """Observe the wrapped block's wall duration into a histogram.
 
         Monotonic clock: durations must be skew- and NTP-step-proof,
@@ -111,7 +103,7 @@ class MetricsRegistry:
         try:
             yield
         finally:
-            self.observe(name, time.monotonic() - started, buckets=buckets, **labels)
+            self.observe(name, time.monotonic() - started, **labels)
 
     # -- export / import ---------------------------------------------
 
@@ -144,30 +136,41 @@ class MetricsRegistry:
         }
 
     def absorb(self, snapshot: dict) -> None:
-        """Merge a published snapshot into this registry.
+        """Fold a snapshot into this registry: the one merge rule.
 
-        The coordinator calls this with each worker's final snapshot
-        before the queue directory is retired, so a post-run
-        ``GET /metrics`` still shows fleet totals.
+        Counters and histogram counts and sums add, and each gauge
+        keeps its max.  The lock is held for the whole fold, so updates
+        other threads make meanwhile are never lost.  The coordinator
+        absorbs its fleet's snapshots before the queue directory is
+        retired, so a post-run ``GET /metrics`` still shows fleet
+        totals.
         """
-        merged = merge_snapshots([self.snapshot(), snapshot])
+        if not snapshot:
+            return
         with self._lock:
-            self._counters = {
-                (c["name"], _label_key(c["labels"])): float(c["value"])
-                for c in merged["counters"]
-            }
-            self._gauges = {
-                (g["name"], _label_key(g["labels"])): float(g["value"])
-                for g in merged["gauges"]
-            }
-            self._histograms = {
-                (h["name"], _label_key(h["labels"])): {
-                    "bounds": tuple(h["bounds"]),
-                    "counts": list(h["counts"]),
-                    "sum": float(h["sum"]),
-                }
-                for h in merged["histograms"]
-            }
+            for c in snapshot.get("counters", ()):
+                key = (c["name"], _label_key(c["labels"]))
+                value = self._counters.get(key, 0.0) + float(c["value"])
+                self._counters[key] = value
+            for g in snapshot.get("gauges", ()):
+                key = (g["name"], _label_key(g["labels"]))
+                value = float(g["value"])
+                if key not in self._gauges or value > self._gauges[key]:
+                    self._gauges[key] = value
+            for h in snapshot.get("histograms", ()):
+                key = (h["name"], _label_key(h["labels"]))
+                series = self._histograms.get(key)
+                if series is None:
+                    self._histograms[key] = {
+                        "bounds": tuple(h["bounds"]),
+                        "counts": [int(n) for n in h["counts"]],
+                        "sum": float(h["sum"]),
+                    }
+                    continue
+                series["counts"] = [
+                    a + int(b) for a, b in zip(series["counts"], h["counts"])
+                ]
+                series["sum"] += float(h["sum"])
 
     def reset(self) -> None:
         with self._lock:
@@ -179,59 +182,13 @@ class MetricsRegistry:
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:
     """Aggregate registry snapshots into one fleet-wide snapshot.
 
-    Commutative and associative by construction — counters sum,
-    gauges take the max, histograms with identical bucket geometry
-    vector-add — so merging is order-independent however snapshot
-    files happen to list on the shared mount.
+    Absorbs each into a fresh registry, so merging is order-independent
+    however snapshot files happen to list on the shared mount.
     """
-    counters: dict[tuple, float] = {}
-    gauges: dict[tuple, float] = {}
-    histograms: dict[tuple, dict] = {}
-    for snap in snapshots:
-        if not snap:
-            continue
-        for c in snap.get("counters", ()):
-            key = (c["name"], _label_key(c["labels"]))
-            counters[key] = counters.get(key, 0.0) + float(c["value"])
-        for g in snap.get("gauges", ()):
-            key = (g["name"], _label_key(g["labels"]))
-            value = float(g["value"])
-            if key not in gauges or value > gauges[key]:
-                gauges[key] = value
-        for h in snap.get("histograms", ()):
-            key = (h["name"], _label_key(h["labels"]), tuple(h["bounds"]))
-            series = histograms.get(key)
-            if series is None:
-                histograms[key] = {
-                    "counts": list(int(n) for n in h["counts"]),
-                    "sum": float(h["sum"]),
-                }
-            else:
-                series["counts"] = [
-                    a + int(b) for a, b in zip(series["counts"], h["counts"])
-                ]
-                series["sum"] += float(h["sum"])
-    return {
-        "schema": SCHEMA_VERSION,
-        "counters": [
-            {"name": name, "labels": dict(labels), "value": value}
-            for (name, labels), value in sorted(counters.items())
-        ],
-        "gauges": [
-            {"name": name, "labels": dict(labels), "value": value}
-            for (name, labels), value in sorted(gauges.items())
-        ],
-        "histograms": [
-            {
-                "name": name,
-                "labels": dict(labels),
-                "bounds": list(bounds),
-                "counts": list(series["counts"]),
-                "sum": series["sum"],
-            }
-            for (name, labels, bounds), series in sorted(histograms.items())
-        ],
-    }
+    registry = MetricsRegistry()
+    for snapshot in snapshots:
+        registry.absorb(snapshot)
+    return registry.snapshot()
 
 
 # -- Prometheus text exposition (format version 0.0.4) ----------------
@@ -320,16 +277,9 @@ def set_gauge(name: str, value: float, **labels: object) -> None:
     REGISTRY.set_gauge(name, value, **labels)
 
 
-def observe(
-    name: str,
-    value: float,
-    buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-    **labels: object,
-) -> None:
-    REGISTRY.observe(name, value, buckets=buckets, **labels)
+def observe(name: str, value: float, **labels: object) -> None:
+    REGISTRY.observe(name, value, **labels)
 
 
-def timer(
-    name: str, buckets: tuple[float, ...] = DEFAULT_BUCKETS, **labels: object
-):
-    return REGISTRY.timer(name, buckets=buckets, **labels)
+def timer(name: str, **labels: object):
+    return REGISTRY.timer(name, **labels)

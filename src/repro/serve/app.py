@@ -255,7 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
         record = registry.job(job_id)
         final = {
             "state": record["state"],
-            "completed": len(registry.events_page(job_id)[0]),
+            "completed": registry.completed(job_id),
             "total": record["total"],
         }
         self.wfile.write((canonical_json(final) + "\n").encode("utf-8"))

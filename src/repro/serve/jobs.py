@@ -372,15 +372,14 @@ class JobRegistry:
         otherwise the queue's snapshots are read live.
         """
         runner = self._runners.get(job_id)
-        supervisor = getattr(runner, "_supervisor", None)
-        restarts = supervisor.restart_count if supervisor is not None else 0
+        restarts = runner.worker_restarts if runner is not None else 0
         fleet = getattr(runner, "fleet_metrics", None)
         if fleet is None:
             fleet = obs_publish.merge_fleet(
                 obs_publish.load_snapshots(self.queue_dir(job_id))
             )
         return {
-            "worker_restarts": int(restarts),
+            "worker_restarts": restarts,
             "lost_leases": _counter_total(
                 fleet.get("metrics") or {}, "repro_lease_overthrows_total"
             ),
@@ -449,6 +448,17 @@ class JobRegistry:
         )
         return events, next_cursor
 
+    def completed(self, job_id: str) -> int:
+        """How many events a known job has logged, none of them read.
+
+        Events are published whole (:func:`atomic_publish`), so each
+        visible sequence-named file is one event.
+        """
+        return sum(
+            1 for path in self._events_dir(job_id).glob("*.json")
+            if path.stem.isdigit()
+        )
+
     # -- queries --------------------------------------------------------
     def job(self, job_id: str) -> dict:
         if not _JOB_ID_RE.match(job_id or ""):
@@ -472,9 +482,8 @@ class JobRegistry:
         """The job record plus live queue depth and ledger counts."""
         record = self.job(job_id)
         queue_dir = self.queue_dir(job_id)
-        events, _ = self.events_page(job_id)
         status = dict(record)
-        status["completed"] = len(events)
+        status["completed"] = self.completed(job_id)
         # A bare handle: a census needs no manifest, never mutates
         # queue state, and reads a retired (absent) queue as empty.
         status["queue"] = TaskQueue(queue_dir).census()
@@ -530,12 +539,11 @@ class JobRegistry:
             return record
         queue_dir = self.queue_dir(job_id)
         census = TaskQueue(queue_dir).census()
-        events, _ = self.events_page(job_id)
         ledger = {
             "reason": "cancel",
             "pending": census["pending"],
             "inflight": census["inflight"],
-            "completed": len(events),
+            "completed": self.completed(job_id),
             "total": record["total"],
         }
         atomic_publish(

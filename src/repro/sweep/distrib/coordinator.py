@@ -232,15 +232,19 @@ class DistributedSweepRunner:
             else fault_plan
         )
         self.fsync = fsync
-        #: Local-fleet respawns performed by the supervisor in the last
-        #: :meth:`run` (0 with ``jobs=0`` or a healthy fleet).
-        self.worker_restarts = 0
-        #: Live supervisor handle while :meth:`run` is tailing (exposes
-        #: a mid-run restart count to ``repro serve`` status).
+        #: The supervisor of the current or last :meth:`run`.
         self._supervisor = None
         #: Merged fleet snapshot (see ``repro.obs.publish.merge_fleet``)
         #: captured just before a successful run retires its queue.
         self.fleet_metrics: Optional[dict] = None
+
+    @property
+    def worker_restarts(self) -> int:
+        """Local-fleet respawns the supervisor has made in the current or
+        last :meth:`run`, read live while it tails (0 before a run, with
+        ``jobs=0`` or with a healthy fleet)."""
+        supervisor = self._supervisor
+        return supervisor.restart_count if supervisor is not None else 0
 
     # ------------------------------------------------------------------
     def run(
@@ -359,7 +363,6 @@ class DistributedSweepRunner:
             failures = self._tail(queue, outstanding, emit, timeout, stop)
         finally:
             supervisor.shutdown()
-            self.worker_restarts = supervisor.restart_count
 
         if stop.is_set() and outstanding:
             # Cancelled, not failed: leases were drained gracefully

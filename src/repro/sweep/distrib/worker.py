@@ -64,8 +64,9 @@ class SweepWorker:
         worker_id: Stamp written into leases and done records.
         poll_interval: Idle sleep between claim attempts while other
             workers still hold leases.
-        max_cells: Stop after executing this many cells (testing knob);
-            ``None`` runs until the whole sweep is done.
+        max_cells: Stop after executing this many cells (``repro
+            sweep-worker --max-cells``); ``None`` runs until the whole
+            sweep is done.
         on_cell: ``on_cell(lease, record)`` called after each cell this
             worker finishes (the CLI prints a line from it).
         on_claim: ``on_claim(lease)`` called the moment a cell is

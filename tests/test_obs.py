@@ -14,12 +14,15 @@ torn-line tolerance, and the durable snapshot publish/merge cycle.
 from __future__ import annotations
 
 import json
+import sys
 import threading
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs import metrics as metrics_mod
 from repro.obs import publish as obs_publish
 from repro.obs import trace as trace_mod
 from repro.obs.metrics import (
@@ -59,19 +62,24 @@ class TestRegistry:
         ]
 
     def test_histogram_buckets_and_overflow(self, registry):
-        registry.observe("lat", 0.5, buckets=(1.0, 10.0))
-        registry.observe("lat", 5.0, buckets=(1.0, 10.0))
-        registry.observe("lat", 99.0, buckets=(1.0, 10.0))
+        registry.observe("lat", 0.75)
+        registry.observe("lat", 7.0)
+        registry.observe("lat", 999.0)
         [series] = registry.snapshot()["histograms"]
-        assert series["bounds"] == [1.0, 10.0]
-        assert series["counts"] == [1, 1, 1]  # last slot = +Inf overflow
-        assert series["sum"] == pytest.approx(104.5)
+        assert series["bounds"] == list(DEFAULT_BUCKETS)
+        expected = [0] * (len(DEFAULT_BUCKETS) + 1)
+        expected[DEFAULT_BUCKETS.index(1.0)] = 1
+        expected[DEFAULT_BUCKETS.index(10.0)] = 1
+        expected[-1] = 1  # last slot = +Inf overflow
+        assert series["counts"] == expected
+        assert series["sum"] == pytest.approx(1006.75)
 
     def test_boundary_value_lands_in_its_bucket(self, registry):
         # Prometheus buckets are upper-inclusive (le = less-or-equal).
-        registry.observe("lat", 1.0, buckets=(1.0, 10.0))
+        registry.observe("lat", 1.0)
         [series] = registry.snapshot()["histograms"]
-        assert series["counts"] == [1, 0, 0]
+        assert series["counts"][DEFAULT_BUCKETS.index(1.0)] == 1
+        assert sum(series["counts"]) == 1
 
     def test_timer_observes_one_sample(self, registry):
         with registry.timer("op_seconds"):
@@ -118,7 +126,7 @@ class TestRegistry:
         def worker():
             for _ in range(per_thread):
                 registry.inc("hits_total")
-                registry.observe("lat", 0.01, buckets=(1.0,))
+                registry.observe("lat", 0.01)
 
         threads = [threading.Thread(target=worker) for _ in range(threads_n)]
         for t in threads:
@@ -128,6 +136,39 @@ class TestRegistry:
         snap = registry.snapshot()
         assert snap["counters"][0]["value"] == threads_n * per_thread
         assert sum(snap["histograms"][0]["counts"]) == threads_n * per_thread
+
+    def test_absorb_loses_no_concurrent_increment(self, registry):
+        # The fold runs under the lock: an absorb that copied the
+        # registry, merged outside the lock and swapped the copy back
+        # would drop every increment made in between.
+        increments = 20_000
+        other = MetricsRegistry()
+        other.set_gauge("depth", 1)
+        published = other.snapshot()
+        absorbing = threading.Event()
+        done = threading.Event()
+
+        def absorber():
+            while not done.is_set():
+                registry.absorb(published)
+                absorbing.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=absorber)
+        thread.start()
+        try:
+            assert absorbing.wait(10.0)
+            for _ in range(increments):
+                registry.inc("hits_total")
+        finally:
+            done.set()
+            thread.join(10.0)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert registry.snapshot()["counters"] == [
+            {"name": "hits_total", "labels": {}, "value": float(increments)}
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -209,6 +250,59 @@ class TestMergeProperties:
 # ----------------------------------------------------------------------
 # Prometheus text encoding
 # ----------------------------------------------------------------------
+#: Every byte ``prometheus_text`` renders for the sequence in
+#: ``test_exposition_bytes_are_pinned``.
+_PINNED_EXPOSITION = """\
+# TYPE repro_cache_store_seconds histogram
+repro_cache_store_seconds_bucket{le="0.005"} 0
+repro_cache_store_seconds_bucket{le="0.01"} 0
+repro_cache_store_seconds_bucket{le="0.025"} 0
+repro_cache_store_seconds_bucket{le="0.05"} 0
+repro_cache_store_seconds_bucket{le="0.1"} 0
+repro_cache_store_seconds_bucket{le="0.25"} 1
+repro_cache_store_seconds_bucket{le="0.5"} 1
+repro_cache_store_seconds_bucket{le="1"} 1
+repro_cache_store_seconds_bucket{le="2.5"} 1
+repro_cache_store_seconds_bucket{le="5"} 1
+repro_cache_store_seconds_bucket{le="10"} 1
+repro_cache_store_seconds_bucket{le="30"} 1
+repro_cache_store_seconds_bucket{le="60"} 1
+repro_cache_store_seconds_bucket{le="120"} 1
+repro_cache_store_seconds_bucket{le="300"} 1
+repro_cache_store_seconds_bucket{le="+Inf"} 1
+repro_cache_store_seconds_sum 0.25
+repro_cache_store_seconds_count 1
+# TYPE repro_http_requests_total counter
+repro_http_requests_total{method="GET",route="/v1/sweeps/{id}",status="404"} 2
+repro_http_requests_total{method="POST",route="/v1/sweeps",status="200"} 1
+# TYPE repro_odd_total counter
+repro_odd_total{route="a\\\\b\\"c\\nd"} 1
+# TYPE repro_queue_claims_total counter
+repro_queue_claims_total{worker="w2"} 3
+# TYPE repro_queue_depth gauge
+repro_queue_depth 9
+# TYPE repro_worker_cell_seconds histogram
+repro_worker_cell_seconds_bucket{worker="w1",le="0.005"} 1
+repro_worker_cell_seconds_bucket{worker="w1",le="0.01"} 2
+repro_worker_cell_seconds_bucket{worker="w1",le="0.025"} 2
+repro_worker_cell_seconds_bucket{worker="w1",le="0.05"} 3
+repro_worker_cell_seconds_bucket{worker="w1",le="0.1"} 3
+repro_worker_cell_seconds_bucket{worker="w1",le="0.25"} 3
+repro_worker_cell_seconds_bucket{worker="w1",le="0.5"} 3
+repro_worker_cell_seconds_bucket{worker="w1",le="1"} 4
+repro_worker_cell_seconds_bucket{worker="w1",le="2.5"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="5"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="10"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="30"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="60"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="120"} 5
+repro_worker_cell_seconds_bucket{worker="w1",le="300"} 6
+repro_worker_cell_seconds_bucket{worker="w1",le="+Inf"} 7
+repro_worker_cell_seconds_sum{worker="w1"} 604.5525
+repro_worker_cell_seconds_count{worker="w1"} 7
+"""
+
+
 class TestPrometheusText:
     def test_counter_and_type_line(self, registry):
         registry.inc("jobs_total", 3, state="done")
@@ -223,15 +317,16 @@ class TestPrometheusText:
         assert 'route="a\\\\b\\"c\\nd"' in text
 
     def test_histogram_buckets_are_cumulative_with_inf_cap(self, registry):
-        registry.observe("lat", 0.05, buckets=(0.1, 1.0))
-        registry.observe("lat", 0.5, buckets=(0.1, 1.0))
-        registry.observe("lat", 7.0, buckets=(0.1, 1.0))
+        registry.observe("lat", 0.05)
+        registry.observe("lat", 0.5)
+        registry.observe("lat", 400.0)
         text = prometheus_text(registry.snapshot())
         assert '# TYPE lat histogram' in text
         assert 'lat_bucket{le="0.1"} 1' in text
         assert 'lat_bucket{le="1"} 2' in text
+        assert 'lat_bucket{le="300"} 2' in text
         assert 'lat_bucket{le="+Inf"} 3' in text
-        assert "lat_sum 7.55" in text
+        assert "lat_sum 400.55" in text
         assert "lat_count 3" in text
 
     def test_empty_histogram_series_still_encodes(self):
@@ -255,6 +350,36 @@ class TestPrometheusText:
         assert 'quiet_bucket{le="1"} 0' in text
         assert 'quiet_bucket{le="+Inf"} 0' in text
         assert "quiet_count 0" in text
+
+    def test_exposition_bytes_are_pinned(self, registry, monkeypatch):
+        # Scrapers parse the whole text, so every byte is pinned: type
+        # lines, series order, label escaping, cumulative buckets and
+        # number formatting.
+        ticks = iter([10.0, 10.25])
+        monkeypatch.setattr(
+            metrics_mod, "time", SimpleNamespace(monotonic=lambda: next(ticks))
+        )
+        registry.inc(
+            "repro_http_requests_total", route="/v1/sweeps", method="POST",
+            status="200",
+        )
+        registry.inc(
+            "repro_http_requests_total", 2, route="/v1/sweeps/{id}",
+            method="GET", status="404",
+        )
+        registry.inc("repro_odd_total", route='a\\b"c\nd')
+        registry.set_gauge("repro_queue_depth", 7)
+        # On an edge, between edges, and above the last edge.
+        for value in (0.005, 0.0075, 1.0, 2.0, 300.0, 301.5):
+            registry.observe("repro_worker_cell_seconds", value, worker="w1")
+        with registry.timer("repro_cache_store_seconds"):
+            pass
+        other = MetricsRegistry()
+        other.inc("repro_queue_claims_total", 3, worker="w2")
+        other.set_gauge("repro_queue_depth", 9)
+        other.observe("repro_worker_cell_seconds", 0.04, worker="w1")
+        registry.absorb(other.snapshot())
+        assert prometheus_text(registry.snapshot()) == _PINNED_EXPOSITION
 
     def test_empty_snapshot_encodes_to_empty_string(self):
         assert prometheus_text(

@@ -317,6 +317,36 @@ class TestEventsPaging:
         finally:
             registry.close()
 
+    def test_status_counts_events_without_reading_them(
+        self, tmp_path, fake_run_scenario, monkeypatch
+    ):
+        import pathlib
+
+        spec = {"workload": "LiR", "theta": [0.3, 0.5, 0.7, 1.0], "predictor": "oracle"}
+        registry = JobRegistry(tmp_path / "cache", jobs=0, fsync=False, poll_interval=0.02)
+        try:
+            record, _ = registry.submit(spec, jobs=0)
+            job_id = record["id"]
+            drain(registry, job_id)
+            wait_for(lambda: registry.job(job_id)["state"] == "done")
+            logged = len(registry.events_page(job_id)[0])
+
+            read = []
+            real = pathlib.Path.read_text
+
+            def spy(path, *args, **kwargs):
+                if path.parent.name == "events":
+                    read.append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "read_text", spy)
+            status = registry.status(job_id)
+            assert (status["completed"], logged) == (4, 4)
+            # Status polls count the event log by name, unread.
+            assert read == []
+        finally:
+            registry.close()
+
 
 class TestMisc:
     def test_healthz_and_listing(self, service, client):
