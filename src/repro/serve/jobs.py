@@ -387,14 +387,19 @@ class JobRegistry:
 
     def live_metric_snapshots(self) -> list[dict]:
         """Registry snapshots published by workers of non-terminal jobs
-        (the fleet half of the ``GET /metrics`` merge)."""
+        (the fleet half of the ``GET /metrics`` merge).
+
+        Only jobs whose runner thread is alive here are read, so a
+        scrape's cost follows the running jobs, not the job history.
+        """
         snapshots = []
-        for record in self.list_jobs():
-            if record["state"] in TERMINAL_STATES:
+        for job_id, thread in sorted(self._threads.items()):
+            if not thread.is_alive():
                 continue
-            for payload in obs_publish.load_snapshots(
-                self.queue_dir(record["id"])
-            ):
+            record = self._load_record(job_id)
+            if record is None or record["state"] in TERMINAL_STATES:
+                continue
+            for payload in obs_publish.load_snapshots(self.queue_dir(job_id)):
                 metrics = payload.get("metrics")
                 if isinstance(metrics, dict):
                     snapshots.append(metrics)

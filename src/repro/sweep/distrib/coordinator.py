@@ -285,7 +285,7 @@ class DistributedSweepRunner:
         # is unknowable here anyway, and a restart with a different
         # --jobs must still produce the manifest it is re-attaching to.
         # It is bucket-*contiguous* (each (seed, scale) group in one
-        # run), the pool path's order with one lane: workers claim
+        # run), the order the pool path chunks too: workers claim
         # smallest-name-first, so contiguity is what lets a worker's
         # context LRU serve consecutive claims instead of rebuilding a
         # different context per cell once the grid has more buckets

@@ -13,18 +13,19 @@ a guarantee that holds under *arbitrary* cell completion order,
 because the final :class:`SweepResult` is reordered to grid order
 regardless of which worker finished what first.
 
-The pool path is a streaming executor: persistent workers consume
-individual cells from a task queue (``imap_unordered``, chunksize 1),
-and each completed cell flows back to the parent — and to ``on_cell``
-— the moment it finishes, not when a shard drains.  The queue is cut
-into one lane per worker (:func:`task_order`): each lane walks its
-``(seed, scale)`` contexts one after another, and the lanes interleave
-task by task, so the cells in flight at any moment span about one
-context per worker.  Workers build their experiment contexts lazily
-and keep a bounded LRU of live ones per ``(seed, scale)``.  While the
-pool has fewer workers than LRU slots, that LRU holds every context a
-worker still needs, so a worker builds each context once per sweep
-however many seeds the sweep spans.  Context construction is
+The pool path is a streaming executor: persistent workers take chunks
+of cells from one shared task queue (``imap_unordered``), and each
+chunk's outcomes flow back to the parent — and to ``on_cell``, once
+per cell — when the chunk ends, not when a shard drains.  The queue
+holds the cells grouped by ``(seed, scale)`` context
+(:func:`task_order` with one lane, the fleet coordinator's order too),
+cut into chunks of at most one context's cells and at least four
+chunks per worker; grids of fewer than eight cells per worker keep
+chunks of one cell.  A chunk's cells share one worker's context and
+its memos, so a sweep whose contexts each fill a chunk builds each
+context once, in one worker.  Workers build their experiment contexts lazily and keep a
+bounded LRU of live ones per ``(seed, scale)``, which serves the
+cells of a context that two chunks split.  Context construction is
 deterministic in the seed, so a pool run reproduces the serial results
 exactly.
 
@@ -303,20 +304,22 @@ def shard_cells(pending: list[Scenario]) -> list[list[Scenario]]:
 
 
 def task_order(pending: list[Scenario], jobs: int) -> list[Scenario]:
-    """Queue order for streaming dispatch: the pool's, and with
-    ``jobs=1`` the distributed coordinator's.
+    """Queue order for streaming dispatch.
 
-    The :func:`shard_cells` order, with each context's cells in one
-    run, is cut into ``w = min(jobs, len(pending))`` contiguous lanes
-    whose sizes differ by at most one, longer lanes first.  The lanes
-    interleave rank by rank, so ``order[k::w]`` is lane ``k``:
+    With ``jobs=1`` this is the :func:`shard_cells` order, each
+    context's cells in one run: the pool chunks it and the distributed
+    coordinator enqueues it.  The multi-lane order of ``jobs > 1`` now
+    serves only perfbench's traced replay of the pool: a pool feeds
+    every worker from one shared queue, so one-cell tasks in lanes
+    sent each worker through every lane's contexts.
+
+    That order is cut into ``w = min(jobs, len(pending))`` contiguous
+    lanes whose sizes differ by at most one, longer lanes first.  The
+    lanes interleave rank by rank, so ``order[k::w]`` is lane ``k``:
 
     * the first ``w`` tasks open each lane's first context, distinct
-      unless one context fills a whole lane, so distinct contexts get
-      built (and distinct banks trained) concurrently at sweep start;
-    * each lane walks its contexts once, so the cells in flight at any
-      moment span about ``w`` contexts, and a worker's context LRU
-      serves them instead of rebuilding one per cell.
+      unless one context fills a whole lane;
+    * each lane walks its contexts once, each context in one run.
     """
     grouped = [scenario for shard in shard_cells(pending) for scenario in shard]
     lanes = max(1, min(jobs, len(grouped)))
@@ -533,8 +536,9 @@ class SweepRunner:
         any point loses nothing already finished and a later ``resume``
         run re-executes zero completed cells.
 
-        ``on_cell(index, total, cell)`` is invoked after each cell
-        completes (cache hits included), in completion order.
+        ``on_cell(index, total, cell)`` is invoked once per cell (cache
+        hits included), in completion order; the cells of one pool
+        chunk arrive together when the chunk ends.
 
         A cell that raises does not abort its siblings; the sweep
         drains fully, then raises :class:`SweepCellError` listing the
@@ -625,18 +629,25 @@ class SweepRunner:
             )
         methods = multiprocessing.get_all_start_methods()
         mp = multiprocessing.get_context("fork" if "fork" in methods else None)
-        ordered = task_order(pending, self.jobs)
+        workers = min(self.jobs, len(pending))
+        ordered = task_order(pending, 1)
+        largest = max(len(shard) for shard in shard_cells(pending))
         with mp.Pool(
-            processes=min(self.jobs, len(pending)),
+            processes=workers,
             initializer=_pool_init,
             initargs=(self.cache, self.bank_cache),
         ) as pool:
-            # One task per cell: each outcome streams back the moment
-            # its worker finishes it, already persisted and crash-safe,
-            # so on_cell (and the CLI progress line) fires in real
-            # completion order — no shard barrier.
+            # Workers take context-contiguous chunks of the grouped
+            # order from one shared queue: a chunk's cells share one
+            # worker's context and memos, and come back as one message
+            # when the chunk ends.  At most a context per chunk, and at
+            # least four chunks per worker, so a one-seed grid still
+            # spreads.  Each cell is persisted by its worker the moment
+            # it completes, so nothing in a chunk waits on the parent.
             results = pool.imap_unordered(
-                _pool_run_cell, enumerate(ordered), chunksize=1
+                _pool_run_cell,
+                enumerate(ordered),
+                chunksize=max(1, min(largest, len(pending) // (4 * workers))),
             )
             for index, outcome in results:
                 yield ordered[index], outcome

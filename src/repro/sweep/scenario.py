@@ -158,12 +158,19 @@ class Scenario:
 
     def fingerprint(self) -> str:
         """Stable hex id of the cell; keys the on-disk cache."""
-        payload = json.dumps(
-            {"schema": SCHEMA_VERSION, "scenario": self.to_dict()},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        # Every executor asks for it several times per cell.  The
+        # fields are frozen, so memoise the first render in the
+        # instance dict, outside the fields ==, hash and repr read.
+        cached = self.__dict__.get("_fingerprint")
+        if cached is None:
+            payload = json.dumps(
+                {"schema": SCHEMA_VERSION, "scenario": self.to_dict()},
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            cached = hashlib.sha256(payload.encode()).hexdigest()[:16]
+            self.__dict__["_fingerprint"] = cached
+        return cached
 
 
 #: The dataclass default of ``reschedule_after``, derived rather than

@@ -347,6 +347,39 @@ class TestEventsPaging:
         finally:
             registry.close()
 
+    def test_metric_snapshots_skip_finished_jobs_unread(
+        self, tmp_path, fake_run_scenario, monkeypatch
+    ):
+        import pathlib
+
+        registry = JobRegistry(tmp_path / "cache", jobs=0, fsync=False, poll_interval=0.02)
+        try:
+            runners = set()
+            for theta in (0.3, 0.5, 0.7):
+                spec = {"workload": "LiR", "theta": [theta, 1.0], "predictor": "oracle"}
+                job_id = registry.submit(spec, jobs=0)[0]["id"]
+                drain(registry, job_id)
+                runners.add(f"serve-job-{job_id}")
+            # Drained jobs whose runner threads have ended.
+            for thread in threading.enumerate():
+                if thread.name in runners:
+                    thread.join(timeout=30)
+            assert {r["state"] for r in registry.list_jobs()} == {"done"}
+
+            read = []
+            real = pathlib.Path.read_text
+
+            def spy(path, *args, **kwargs):
+                read.append(path.name)
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(pathlib.Path, "read_text", spy)
+            # A scrape reads the jobs that run now, not the history.
+            assert registry.live_metric_snapshots() == []
+            assert "job.json" not in read
+        finally:
+            registry.close()
+
 
 class TestMisc:
     def test_healthz_and_listing(self, service, client):

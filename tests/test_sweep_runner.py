@@ -397,13 +397,19 @@ class TestStreamingOrderIndependence:
         import random
 
         real = runner_mod.task_order
+        calls = []
 
         def shuffled(pending, jobs):
+            calls.append(jobs)
             ordered = real(pending, jobs)
             random.Random(0xC0FFEE).shuffle(ordered)
             return ordered
 
         monkeypatch.setattr(runner_mod, "task_order", shuffled)
+        yield
+        # A pool that stopped dispatching through task_order would run
+        # these tests in grid order, and they would prove nothing.
+        assert calls, "the pool never called task_order"
 
     def test_serial_streaming_and_partial_resume_byte_identical(
         self, context, tmp_path, shuffled_queue
@@ -530,11 +536,49 @@ class TestWarmPoolWorkers:
         pooled = SweepRunner(jobs=2, cache=tmp_path / "cells").run(grid)
 
         builds = log.read_text(encoding="utf-8").splitlines()
-        # At most one build per seed per worker, plus a seed split
-        # between the two lanes; a queue that cycles through more seeds
-        # than the memo holds builds one per cell.
-        assert len(builds) <= 2 * (self.SEEDS + 1) < len(grid)
+        # Each chunk holds one seed's four cells, so exactly one worker
+        # builds each seed's context; one-cell tasks from a shared
+        # queue had every worker build every seed.
+        assert len(builds) == self.SEEDS
         assert summary_bytes(pooled) == summary_bytes(SweepRunner(jobs=1).run(grid))
+
+    def test_chunks_that_straddle_contexts_match_serial(self, tmp_path):
+        grid = self.regimes_grid(8)
+        cache_dir = tmp_path / "cells"
+        serial = SweepRunner(jobs=1, cache=cache_dir).run(grid)
+        stored = {path.name: path.read_bytes() for path in cache_dir.glob("*.json")}
+        # Seed s keeps s % 3 of its four cells cached, so 25 cells are
+        # pending in groups of 4, 3, 2, 4, 3, 2, 4, 3: chunks of three
+        # cells straddle contexts.
+        cache = SweepCache(cache_dir)
+        for seed in range(8):
+            for scenario in [s for s in grid if s.seed == seed][seed % 3 :]:
+                cache.path_for(scenario).unlink()
+        seen = []
+        resumed = SweepRunner(jobs=2, cache=cache_dir, resume=True).run(
+            grid, on_cell=lambda i, n, cell: seen.append((i, n))
+        )
+        assert (resumed.cached_count, resumed.executed_count) == (7, 25)
+        assert seen == [(i, len(grid)) for i in range(1, len(grid) + 1)]
+        assert summary_bytes(resumed) == summary_bytes(serial)
+        assert {p.name: p.read_bytes() for p in cache_dir.glob("*.json")} == stored
+
+    def test_a_one_seed_grid_runs_on_both_workers(self, monkeypatch):
+        def stand_in(scenario, context=None, bank_cache=None, dataset_path=None):
+            time.sleep(0.02)
+            return {"pid": os.getpid()}
+
+        # Patched before the pool forks, so both workers run it.
+        monkeypatch.setattr(runner_mod, "run_scenario", stand_in)
+        grid = ScenarioGrid.from_axes(
+            workload="LiR",
+            theta=[round(0.03 * k, 2) for k in range(1, 33)],
+            predictor="oracle",
+            seed=0,
+        )
+        result = SweepRunner(jobs=2).run(grid)
+        # One context, 32 cells: chunks of four, so both workers draw.
+        assert len({cell.summary["pid"] for cell in result}) == 2
 
     def test_a_second_pool_run_reuses_the_snapshots(self, tmp_path, generated):
         grid = self.regimes_grid(2)

@@ -1,8 +1,13 @@
 """Tests for scenario cells, fingerprints, and the declarative grid."""
 
+import dataclasses
+import hashlib
+import json
+import pickle
+
 import pytest
 
-from repro.sweep.scenario import Scenario, ScenarioGrid
+from repro.sweep.scenario import SCHEMA_VERSION, Scenario, ScenarioGrid
 
 
 class TestScenario:
@@ -87,6 +92,60 @@ class TestFingerprint:
         ]
         fingerprints = {base.fingerprint()} | {v.fingerprint() for v in variants}
         assert len(fingerprints) == len(variants) + 1
+
+    @staticmethod
+    def rendered(scenario: Scenario) -> str:
+        """The fingerprint computed afresh, past any memo."""
+        payload = json.dumps(
+            {"schema": SCHEMA_VERSION, "scenario": scenario.to_dict()},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+    def test_memo_matches_a_fresh_render_on_every_axis(self):
+        grid = ScenarioGrid.from_spec(
+            {
+                "workload": ["LoR", "LiR"],
+                "mcnt": [1, 3],
+                "seed": [0, 5],
+                "scale": ["small", "paper"],
+                "grids": [
+                    {
+                        "theta": [0.5, 1.0],
+                        "predictor": ["oracle", "constant"],
+                        "checkpoint_policy": ["notice", "periodic:900"],
+                        "reschedule_after": [3600.0, 7200.0],
+                        "refund_enabled": [True, False],
+                    },
+                    {"approach": "single_spot", "instance": ["r4.large", "m4.2xlarge"]},
+                ],
+            }
+        )
+        # The grid already asked each cell for its fingerprint.
+        assert [s.fingerprint() for s in grid] == [self.rendered(s) for s in grid]
+        assert len({s.fingerprint() for s in grid}) == len(grid) == 16 * 34
+
+    def test_memo_survives_a_pickle_round_trip(self):
+        scenario = Scenario(workload="SVM", theta=0.5, seed=7)
+        memo = scenario.fingerprint()
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert clone == scenario and hash(clone) == hash(scenario)
+        assert clone.fingerprint() == memo == self.rendered(clone)
+
+    def test_a_replaced_copy_gets_its_own_fingerprint(self):
+        scenario = Scenario(workload="SVM", theta=0.5, seed=7)
+        scenario.fingerprint()
+        copy = dataclasses.replace(scenario, seed=8)
+        assert copy.fingerprint() == self.rendered(copy) != scenario.fingerprint()
+
+    def test_memo_stays_out_of_identity(self):
+        memoised = Scenario(workload="LoR", seed=3)
+        memoised.fingerprint()
+        fresh = Scenario(workload="LoR", seed=3)
+        assert memoised == fresh and hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
+        assert memoised.to_dict() == fresh.to_dict()
 
 
 class TestScenarioGrid:
