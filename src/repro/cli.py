@@ -221,6 +221,7 @@ def _output_closed(recovery: str) -> int:
 
 def _run_sweep(args: argparse.Namespace) -> int:
     from repro.sweep import (
+        BankCache,
         ScenarioGrid,
         SweepCellError,
         SweepRunner,
@@ -288,9 +289,13 @@ def _run_sweep(args: argparse.Namespace) -> int:
         cache = SweepCache(cache, fsync=False)
     if args.no_bank_cache:
         bank_cache = False
+    elif args.bank_cache:
+        # Built here, not from the result cache, so --no-fsync reaches
+        # it under --no-cache too.
+        bank_cache = BankCache(args.bank_cache, fsync=not args.no_fsync)
     else:
         # None co-locates under the result cache (banks/ subdirectory).
-        bank_cache = args.bank_cache if args.bank_cache else None
+        bank_cache = None
     try:
         if args.distributed:
             if cache is None:
@@ -379,21 +384,15 @@ def _run_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         if args.out and error.completed:
-            # Partial result: the surviving cells, still grid-ordered
-            # and canonical — byte-identical to a serial run of the
-            # same surviving cells.
-            survived = {
-                cell.scenario.fingerprint(): cell.summary
-                for cell in error.completed
-            }
-            partial = [
-                survived[s.fingerprint()]
-                for s in grid
-                if s.fingerprint() in survived
-            ]
-            Path(args.out).write_text(sweep_out_text(partial))
+            # Partial result: the surviving cells, grid-ordered and
+            # canonical — byte-identical to a serial run of the same
+            # surviving cells.
+            Path(args.out).write_text(
+                sweep_out_text(cell.summary for cell in error.completed)
+            )
             print(
-                f"wrote partial {args.out} ({len(partial)}/{len(grid)} cells)",
+                f"wrote partial {args.out} "
+                f"({len(error.completed)}/{len(grid)} cells)",
                 file=sys.stderr,
             )
         return 1

@@ -31,7 +31,6 @@ crash reads as absent and is regenerated.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +90,11 @@ def load_market_snapshot(
     missing directory, wrong schema, absent or unreadable arrays —
     reads as a miss so the caller falls back to regenerating.
     """
+    from repro.sweep.cache import read_record
+
     directory = Path(directory)
-    try:
-        meta = json.loads((directory / "meta.json").read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if meta.get("schema") != SNAPSHOT_SCHEMA_VERSION:
+    meta = read_record(directory / "meta.json")
+    if meta is None or meta.get("schema") != SNAPSHOT_SCHEMA_VERSION:
         return None
     dataset = SpotPriceDataset()
     mmap_mode = "r" if mmap else None

@@ -98,11 +98,14 @@ def publish_snapshot(
 
 
 def load_snapshots(queue_root: str | os.PathLike) -> list[dict]:
-    """Every parseable worker snapshot under the queue, name-sorted.
+    """Every readable worker snapshot under the queue, name-sorted.
 
-    Unparseable or in-flight temp files are skipped, never fatal: a
-    fleet view must render while workers are mid-publish.
+    Files :func:`~repro.sweep.cache.read_record` reads as absent, and
+    in-flight temp files, are skipped, never fatal: a fleet view must
+    render while workers are mid-publish.
     """
+    from repro.sweep.cache import read_record
+
     directory = metrics_dir(queue_root)
     snapshots = []
     try:
@@ -112,10 +115,9 @@ def load_snapshots(queue_root: str | os.PathLike) -> list[dict]:
     for name in names:
         if not name.endswith(".json"):
             continue
-        try:
-            snapshots.append(json.loads((directory / name).read_text()))
-        except (OSError, json.JSONDecodeError):
-            continue
+        snapshot = read_record(directory / name)
+        if snapshot is not None:
+            snapshots.append(snapshot)
     return snapshots
 
 

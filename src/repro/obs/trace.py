@@ -96,16 +96,16 @@ def span(name: str, **attrs: object) -> Iterator[None]:
 
 
 def load_events(path: str | os.PathLike) -> list[dict]:
-    """Parse an NDJSON span file, skipping torn/partial last lines."""
+    """Parse an NDJSON span file, keeping only the lines that parse to
+    a JSON object: torn last lines and foreign lines are skipped."""
     events = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
         try:
-            events.append(json.loads(line))
+            event = json.loads(line)
         except json.JSONDecodeError:
             continue
+        if isinstance(event, dict):
+            events.append(event)
     return events
 
 

@@ -25,7 +25,6 @@ cached cells complete instantly, the rest re-enter the queue).
 from __future__ import annotations
 
 import hashlib
-import json
 import re
 import shutil
 import threading
@@ -38,6 +37,7 @@ from repro.sweep.cache import (
     atomic_publish,
     canonical_json,
     fsync_dir,
+    read_record,
     sweep_out_text,
 )
 from repro.sweep.distrib import (
@@ -181,10 +181,7 @@ class JobRegistry:
         )
 
     def _load_record(self, job_id: str) -> Optional[dict]:
-        try:
-            return json.loads(self._job_path(job_id).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_record(self._job_path(job_id))
 
     # -- lifecycle ------------------------------------------------------
     def submit(
@@ -439,11 +436,8 @@ class JobRegistry:
         for path in sorted(self._events_dir(job_id).glob("*.json")):
             if path.stem.isdigit() and int(path.stem) < cursor:
                 continue
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if int(payload.get("seq", -1)) < cursor:
+            payload = read_record(path)
+            if payload is None or int(payload.get("seq", -1)) < cursor:
                 continue
             events.append(payload)
             if limit is not None and len(events) >= limit:

@@ -29,7 +29,6 @@ then loads the stored artifact instead of duplicating the work.
 from __future__ import annotations
 
 import hashlib
-import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Mapping, Optional
@@ -44,6 +43,7 @@ from repro.sweep.cache import (
     atomic_publish_dir,
     canonical_json,
     fsync_write_text,
+    read_record,
     sweep_stale_temps,
 )
 
@@ -169,11 +169,8 @@ class BankCache:
         inference_dataset,
     ) -> Optional[PredictorBank]:
         meta_path = self.path_for(spec) / "meta.json"
-        try:
-            meta = json.loads(meta_path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if meta.get("schema") != BANK_SCHEMA_VERSION:
+        meta = read_record(meta_path)
+        if meta is None or meta.get("schema") != BANK_SCHEMA_VERSION:
             return None
         if meta.get("bank") != dict(spec):
             return None
@@ -250,12 +247,12 @@ class BankCache:
         parseable current-schema meta plus one weight file per recorded
         market.  (Spec match is the caller's concern — two specs can
         only share ``path`` by sharing a fingerprint.)"""
+        meta = read_record(path / "meta.json")
+        if meta is None or meta.get("schema") != BANK_SCHEMA_VERSION:
+            return False
         try:
-            meta = json.loads((path / "meta.json").read_text())
-            return meta.get("schema") == BANK_SCHEMA_VERSION and all(
-                (path / f"{name}.npz").is_file() for name in meta["markets"]
-            )
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, AttributeError):
+            return all((path / f"{name}.npz").is_file() for name in meta["markets"])
+        except (KeyError, TypeError):
             return False
 
     def __len__(self) -> int:

@@ -12,7 +12,10 @@ under the cache root: :func:`atomic_publish` for a file,
 :func:`sweep_stale_temps` for the temps a killed writer leaves behind.
 Cell summaries, queue files, serve job records, worker metric
 snapshots, predictor banks and market snapshots all publish through
-them.
+them.  :func:`read_record` is the one read path beside it: every
+reader of those records takes a file that is absent, torn, not UTF-8,
+not JSON, or not a JSON object as absent, and keeps only its own
+schema checks.
 
 The cache root also co-locates the predictor-bank cache (schema v3):
 the :data:`BANKS_SUBDIR` subdirectory holds one
@@ -181,6 +184,22 @@ def atomic_publish(path: Path, text: str, *, fsync: bool) -> None:
         raise
 
 
+def read_record(path: Path) -> Optional[dict]:
+    """The JSON object stored at ``path``, or ``None``.
+
+    The read side of :func:`atomic_publish`.  The root is a shared
+    mount that other hosts, other versions and hand edits write to, so
+    a file that is absent, unreadable, not UTF-8 (the encoding
+    :func:`fsync_write_text` writes), not JSON, or JSON that is not an
+    object reads as absent, as a torn file does.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 def atomic_publish_dir(
     path: Path,
     fill: Callable[[Path], None],
@@ -303,14 +322,8 @@ class SweepCache:
         return summary
 
     def _load(self, scenario: Scenario) -> Optional[dict]:
-        path = self.path_for(scenario)
-        if not path.exists():
-            return None
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
-        if payload.get("schema") != SCHEMA_VERSION:
+        payload = read_record(self.path_for(scenario))
+        if payload is None or payload.get("schema") != SCHEMA_VERSION:
             return None
         if payload.get("scenario") != scenario.to_dict():
             return None

@@ -71,7 +71,7 @@ class SweepCancelled(RuntimeError):
     leases, done records), so the caller decides whether to retire it
     (``repro serve``'s cancel endpoint does) or leave it for a later
     resume.  ``completed`` holds the cells that finished before the
-    stop; ``outstanding`` the task names that did not.
+    stop, in grid order; ``outstanding`` the task names that did not.
     """
 
     def __init__(
@@ -364,12 +364,16 @@ class DistributedSweepRunner:
         finally:
             supervisor.shutdown()
 
+        # What a cancel or a failure hands back, in grid order.
+        completed = [
+            done[s.fingerprint()] for s in scenarios if s.fingerprint() in done
+        ]
         if stop.is_set() and outstanding:
             # Cancelled, not failed: leases were drained gracefully
             # (local workers terminated above; external workers keep
             # their leases until the caller retires the queue and the
             # vanished manifest tells them to exit).
-            raise SweepCancelled(list(done.values()), sorted(outstanding))
+            raise SweepCancelled(completed, sorted(outstanding))
         if failures:
             # The queue survives a failed sweep: its error records and
             # pending state are what ``--resume`` retries from.  The
@@ -377,7 +381,7 @@ class DistributedSweepRunner:
             # worker ids, attempt history) ride along as ``details``.
             raise SweepCellError(
                 [(scenario, error) for scenario, error, _ in failures],
-                completed=list(done.values()),
+                completed=completed,
                 persisted=True,
                 details=[entry for _, _, entry in failures],
             )

@@ -13,13 +13,13 @@ either worker would have written the same bytes anyway.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
 from typing import TYPE_CHECKING, Optional
 
 from repro import obs
+from repro.sweep.cache import read_record
 from repro.sweep.distrib import faults as faults_mod
 from repro.sweep.scenario import Scenario
 
@@ -54,10 +54,8 @@ class Lease:
     # ------------------------------------------------------------------
     def held(self) -> bool:
         """Whether the published lease file still carries our stamp."""
-        try:
-            return json.loads(self.path.read_text()).get("owner") == self.owner
-        except (OSError, json.JSONDecodeError):
-            return False
+        stamp = read_record(self.path)
+        return stamp is not None and stamp.get("owner") == self.owner
 
     def renew(self) -> bool:
         """Heartbeat: bump the lease mtime, if it is still ours.

@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro import obs
-from repro.sweep.cache import atomic_publish, sweep_stale_temps
+from repro.sweep.cache import atomic_publish, read_record, sweep_stale_temps
 from repro.sweep.distrib import faults as faults_mod
 from repro.sweep.distrib.faults import FaultPlan
 from repro.sweep.distrib.lease import Lease
@@ -335,10 +335,7 @@ class TaskQueue:
             self._write_atomic(self.root / MANIFEST_NAME, self.manifest)
 
     def _load_staged(self) -> Optional[dict]:
-        try:
-            return json.loads((self.root / STAGED_MANIFEST_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_record(self.root / STAGED_MANIFEST_NAME)
 
     def _adopt_policy(self, manifest: dict) -> None:
         """Take the fleet-wide knobs from a manifest: every handle —
@@ -379,10 +376,7 @@ class TaskQueue:
         return queue
 
     def load_manifest(self) -> Optional[dict]:
-        try:
-            return json.loads((self.root / MANIFEST_NAME).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_record(self.root / MANIFEST_NAME)
 
     def retired(self) -> bool:
         """Whether the published manifest is *definitively* gone (the
@@ -685,19 +679,13 @@ class TaskQueue:
         obs.inc("repro_queue_quarantined_total")
 
     def failure_entry(self, name: str) -> Optional[dict]:
-        try:
-            return json.loads((self.failures_dir / name).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_record(self.failures_dir / name)
 
     def failure_names(self) -> list[str]:
         return self._names_in(self.failures_dir)
 
     def done_record(self, name: str) -> Optional[dict]:
-        try:
-            return json.loads((self.done_dir / name).read_text())
-        except (OSError, json.JSONDecodeError):
-            return None
+        return read_record(self.done_dir / name)
 
     def reset_pending_attempts(self) -> None:
         """Zero the attempt counter on every pending task.

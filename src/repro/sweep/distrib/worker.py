@@ -175,8 +175,10 @@ class SweepWorker:
                         continue
                     time.sleep(self.poll_interval)
                     continue
+                # Claim to done record; the simulation inside is
+                # execute_cell's own ``cell`` span.
                 with obs.trace.span(
-                    "cell",
+                    "lease",
                     cell=lease.name,
                     attempt=lease.attempt,
                     worker=self.worker_id,

@@ -236,29 +236,31 @@ def execute_cell(
     summary is stored in ``cache`` the moment it exists; the fleet
     worker passes none and stores once its lease is confirmed.
     ``faults`` fires the ``worker.cell.execute`` site, keyed by
-    ``fault_key``, inside the captured region.
+    ``fault_key``, inside the captured region.  The simulation and the
+    store are traced as one ``cell`` span, whichever executor runs it.
     """
     summary = error = traceback_text = None
     trained_before = banks_mod.train_count()
-    started = time.monotonic()
-    try:
-        if faults is not None:
-            from repro.sweep.distrib import faults as faults_mod
+    with obs.trace.span("cell", cell=f"seed={scenario.seed} {scenario.label()}"):
+        started = time.monotonic()
+        try:
+            if faults is not None:
+                from repro.sweep.distrib import faults as faults_mod
 
-            faults_mod.perform(faults, "worker.cell.execute", fault_key)
-        summary = run_scenario(
-            scenario,
-            context=context,
-            bank_cache=bank_cache,
-            dataset_path=dataset_path,
-        )
-    except Exception as exc:  # noqa: BLE001 — isolate sibling cells
-        error = f"{type(exc).__name__}: {exc}"
-        traceback_text = traceback_mod.format_exc()
-    seconds = time.monotonic() - started
+                faults_mod.perform(faults, "worker.cell.execute", fault_key)
+            summary = run_scenario(
+                scenario,
+                context=context,
+                bank_cache=bank_cache,
+                dataset_path=dataset_path,
+            )
+        except Exception as exc:  # noqa: BLE001 — isolate sibling cells
+            error = f"{type(exc).__name__}: {exc}"
+            traceback_text = traceback_mod.format_exc()
+        seconds = time.monotonic() - started
+        if error is None and cache is not None:
+            cache.store(scenario, summary)
     trained = banks_mod.train_count() - trained_before
-    if error is None and cache is not None:
-        cache.store(scenario, summary)
     return CellOutcome(summary, error, traceback_text, trained, seconds)
 
 
@@ -342,23 +344,19 @@ def resolve_caches(
     ``bank_cache=None`` co-locates the bank cache under the result
     cache root (``banks/``) when one is set; ``False`` disables bank
     caching; a path or :class:`BankCache` pins an explicit location.
+    A bank cache built here takes the result cache's fsync policy, so
+    one ``--no-fsync`` governs both.
     """
     if cache is not None and not isinstance(cache, SweepCache):
         cache = SweepCache(cache)
-    if bank_cache is False:
+    if bank_cache is None and cache is not None:
+        bank_cache = cache.banks_root
+    if bank_cache is None or bank_cache is False:
         banks = None
-    elif bank_cache is None:
-        # Co-located under the result cache: inherit its fsync policy,
-        # so one --no-fsync governs the whole cache tree.
-        banks = (
-            BankCache(cache.banks_root, fsync=cache.fsync)
-            if cache is not None
-            else None
-        )
     elif isinstance(bank_cache, BankCache):
         banks = bank_cache
     else:
-        banks = BankCache(bank_cache)
+        banks = BankCache(bank_cache, fsync=cache.fsync if cache is not None else True)
     return cache, banks
 
 
@@ -389,9 +387,10 @@ class SweepCellError(RuntimeError):
     Raised only once every runnable cell has been attempted, so sibling
     cells are never aborted by one failure.  ``failures`` holds
     ``(scenario, error message)`` pairs in completion order and
-    ``completed`` the sibling :class:`CellResult` s that did finish —
-    with a cache they are also on disk, so ``--resume`` re-runs exactly
-    the failed cells; without one they are reachable only here.
+    ``completed`` the sibling :class:`CellResult` s that did finish, in
+    grid order like :class:`SweepResult` — with a cache they are also
+    on disk, so ``--resume`` re-runs exactly the failed cells; without
+    one they are reachable only here.
 
     Distributed sweeps also attach ``details``: one quarantine-ledger
     entry (or ``None``) per failure, aligned with ``failures``,
@@ -588,7 +587,9 @@ class SweepRunner:
         if failures:
             raise SweepCellError(
                 failures,
-                completed=list(done.values()),
+                completed=[
+                    done[s.fingerprint()] for s in scenarios if s.fingerprint() in done
+                ],
                 persisted=self.cache is not None,
             )
         return SweepResult(done[s.fingerprint()] for s in scenarios)
@@ -606,16 +607,12 @@ class SweepRunner:
 
     def _serial_outcomes(self, pending) -> Iterator[tuple[Scenario, CellOutcome]]:
         for scenario in pending:
-            with obs.trace.span(
-                "cell", cell=f"seed={scenario.seed} {scenario.label()}"
-            ):
-                outcome = execute_cell(
-                    scenario,
-                    cache=self.cache,
-                    context=self._context,
-                    bank_cache=self.bank_cache,
-                )
-            yield scenario, outcome
+            yield scenario, execute_cell(
+                scenario,
+                cache=self.cache,
+                context=self._context,
+                bank_cache=self.bank_cache,
+            )
 
     def _pool_outcomes(self, pending) -> Iterator[tuple[Scenario, CellOutcome]]:
         # Prefer fork where available: workers inherit any context the

@@ -11,6 +11,7 @@ front door, and the restart/lost-lease telemetry in job status.
 """
 
 import json
+import os
 import threading
 import time
 import urllib.request
@@ -191,6 +192,47 @@ class TestProfileFlag:
         # Resumed run: every cell is a cache hit, nothing executed.
         assert cli.main([*args, "--resume", "--profile"]) == 0
         assert "profile: 0 slowest cell(s)" in capsys.readouterr().out
+
+
+class TestSpanTracing:
+    def test_pool_workers_trace_one_cell_span_per_cell(
+        self, tmp_path, fake_run_scenario
+    ):
+        grid = ScenarioGrid.from_axes(
+            approach="single_spot",
+            workload=["LiR", "LoR"],
+            instance=["r4.large", "r4.xlarge"],
+            seed=[0, 1],
+        )
+        spans = tmp_path / "spans.ndjson"
+        obs.trace.configure(spans)
+        try:
+            SweepRunner(jobs=2).run(grid)
+        finally:
+            obs.trace.configure(None)
+        cells = [e for e in obs.trace.load_events(spans) if e["name"] == "cell"]
+        assert sorted(e["args"]["cell"] for e in cells) == sorted(
+            f"seed={s.seed} {s.label()}" for s in grid
+        )
+        # Traced by the pool workers that ran them, not the parent.
+        assert os.getpid() not in {e["pid"] for e in cells}
+
+    def test_chrome_keeps_only_span_objects(self, tmp_path):
+        spans = tmp_path / "spans.ndjson"
+        obs.trace.configure(spans)
+        try:
+            with obs.trace.span("cell", cell="seed=0 a"):
+                pass
+        finally:
+            obs.trace.configure(None)
+        span_line = spans.read_text(encoding="utf-8")
+        spans.write_text(
+            "[1]\nnull\n" + span_line + '{"name": "torn", "sp', encoding="utf-8"
+        )
+        chrome = tmp_path / "chrome.json"
+        assert cli.main(["trace", "--chrome", str(chrome), "--spans", str(spans)]) == 0
+        events = json.loads(chrome.read_text())["traceEvents"]
+        assert [(e["name"], e["args"]["cell"]) for e in events] == [("cell", "seed=0 a")]
 
 
 @pytest.fixture()

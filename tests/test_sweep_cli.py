@@ -474,6 +474,36 @@ class TestChaosFlags:
         ) == 2
         assert "cannot read fault plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cache_flags", [["--no-cache"], ["--cache-dir", "c"]])
+    def test_no_fsync_reaches_an_explicit_bank_cache(
+        self, tmp_path, spec_path, monkeypatch, cache_flags
+    ):
+        from repro.sweep import runner as runner_mod
+
+        def fake(scenario, context=None, bank_cache=None, dataset_path=None):
+            # Every column of the CLI's report table.
+            return dict.fromkeys(
+                ("cost", "jct_hours", "free_step_fraction", "refund_fraction",
+                 "overhead_fraction"),
+                scenario.theta,
+            )
+
+        seen = []
+        real_run = runner_mod.SweepRunner.run
+
+        def spy(self, grid, on_cell=None):
+            seen.append(self.bank_cache.fsync)
+            return real_run(self, grid, on_cell)
+
+        monkeypatch.setattr(runner_mod, "run_scenario", fake)
+        monkeypatch.setattr(runner_mod.SweepRunner, "run", spy)
+        monkeypatch.chdir(tmp_path)
+        assert main(
+            ["sweep", "--spec", str(spec_path), "--no-fsync",
+             "--bank-cache", "banks", *cache_flags]
+        ) == 0
+        assert seen == [False]
+
     def test_poison_cell_exits_one_with_ledger_and_partial_out(
         self, tmp_path, capsys
     ):

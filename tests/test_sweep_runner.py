@@ -285,6 +285,13 @@ class TestFsyncPolicy:
         assert result.executed_count == 2
         assert fsyncs() == []
 
+    def test_an_explicit_bank_cache_takes_the_result_caches_policy(self, tmp_path):
+        cache = SweepCache(tmp_path / "cells", fsync=False)
+        _, explicit = runner_mod.resolve_caches(cache, str(tmp_path / "banks"))
+        _, co_located = runner_mod.resolve_caches(cache, None)
+        assert explicit.fsync is False
+        assert co_located.fsync is False
+
 
 class TestFailureIsolation:
     """A failing cell reports its error without aborting siblings."""
@@ -335,6 +342,28 @@ class TestFailureIsolation:
         assert not error.persisted
         assert "no cache configured" in str(error)
         assert [cell.scenario.theta for cell in error.completed] == [0.7]
+
+    def test_pool_partial_results_come_in_grid_order(self, monkeypatch):
+        # Seed is the grid's fastest axis, while the pool runs each
+        # seed's cells together: completion order is not grid order.
+        grid = list(
+            ScenarioGrid.from_axes(
+                approach="single_spot",
+                workload=["LiR", "LoR"],
+                instance=["r4.large", "r4.xlarge"],
+                seed=[0, 1],
+            )
+        )
+
+        def fake(scenario, context=None, bank_cache=None, dataset_path=None):
+            if scenario == grid[-1]:
+                raise RuntimeError("injected cell failure")
+            return {"label": scenario.label()}
+
+        monkeypatch.setattr(runner_mod, "run_scenario", fake)
+        with pytest.raises(SweepCellError) as excinfo:
+            SweepRunner(jobs=2).run(grid)
+        assert [cell.scenario for cell in excinfo.value.completed] == grid[:-1]
 
     def test_pool_siblings_survive_a_failing_cell(
         self, tmp_path, failing_run_scenario
